@@ -156,8 +156,12 @@ def eval_exact(program: StochasticProgram, u, x) -> float:
     return weighted_objective(program, program.p, x)
 
 
-def _reweighted(program: StochasticProgram, q: np.ndarray, x) -> float:
-    return weighted_objective(program, q, x)
+def support_cost(program: StochasticProgram, point: np.ndarray, x) -> float:
+    """The generator's cost of support point ``point`` at decision x."""
+    val = float(program.generator(point, x))
+    if val == -INF:
+        raise ValueError("generator returned -inf")
+    return val
 
 
 def _support_sum(program: StochasticProgram, q: np.ndarray, xi: np.ndarray,
@@ -169,11 +173,20 @@ def _support_sum(program: StochasticProgram, q: np.ndarray, xi: np.ndarray,
     for i, w in enumerate(q):
         if w == 0.0:
             continue
-        val = float(program.generator(xi[i] + v[i], x))
-        if val == -INF:
-            raise ValueError("generator returned -inf")
-        total = ext_add(total, ext_mul(w, val))
+        total = ext_add(total, ext_mul(w, support_cost(program, xi[i] + v[i], x)))
     return total
+
+
+def weight_penalty(spec: RockafellianSpec, u: np.ndarray, q: np.ndarray) -> float:
+    """The penalty a simplex-reweighting variant charges for perturbation u,
+    with q = max(p_nu + u, 0) the weights it applies."""
+    if isinstance(spec, (QuadraticPenalty, SupportPerturbation)):
+        return 0.5 * spec.theta_nu * float(u @ u)
+    if isinstance(spec, PhiDivergencePenalty):
+        return ext_mul(spec.theta_nu, phi_divergence(spec.family, q, spec.p_nu))
+    if isinstance(spec, L1Penalty):
+        return spec.theta * float(np.abs(u).sum())
+    raise TypeError(f"unknown spec type {type(spec)!r}")
 
 
 def eval_approx(spec: RockafellianSpec, program: StochasticProgram, u, x,
@@ -206,26 +219,17 @@ def eval_approx(spec: RockafellianSpec, program: StochasticProgram, u, x,
         return INF
     q = np.maximum(q, 0.0)
 
-    if isinstance(spec, QuadraticPenalty):
-        penalty = 0.5 * spec.theta_nu * float(point.u @ point.u)
-        val = ext_add(_reweighted(program, q, x), penalty)
-    elif isinstance(spec, PhiDivergencePenalty):
-        div = phi_divergence(spec.family, q, spec.p_nu)
-        val = ext_add(_reweighted(program, q, x), ext_mul(spec.theta_nu, div))
-    elif isinstance(spec, L1Penalty):
-        penalty = spec.theta * float(np.abs(point.u).sum())
-        val = ext_add(_reweighted(program, q, x), penalty)
-    elif isinstance(spec, SupportPerturbation):
+    penalty = weight_penalty(spec, point.u, q)
+    if isinstance(spec, SupportPerturbation):
         v = point.v
         if v is None:
             v = np.zeros_like(spec.xi_nu)
         if v.shape != spec.xi_nu.shape:
             raise ValueError("support perturbation shape mismatch")
-        penalty = 0.5 * spec.theta_nu * float(point.u @ point.u)
         penalty += 0.5 * spec.lambda_nu * float(np.sum(v * v))
         val = ext_add(_support_sum(program, q, spec.xi_nu, v, x), penalty)
     else:
-        raise TypeError(f"unknown spec type {type(spec)!r}")
+        val = ext_add(weighted_objective(program, q, x), penalty)
 
     if include_tilt:
         val = ext_add(val, -float(spec.tilt() @ point.u))

@@ -6,6 +6,7 @@ decision step. Grid oracles provide ground truth on small instances.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -19,10 +20,15 @@ from .extreal import INF, StochasticProgram, ext_add, ext_mul, weighted_objectiv
 from .rockafellian import (CompositePenalty, ExactIndicator, L1Penalty,
                            PerturbationPoint, PhiDivergencePenalty,
                            QuadraticPenalty, RockafellianSpec,
-                           SupportPerturbation, eval_approx, eval_exact)
-from .simplex import clamp_to_simplex, project_to_simplex
+                           SupportPerturbation, _in_simplex, eval_approx,
+                           eval_exact, support_cost, weight_penalty)
+from .simplex import project_to_simplex
 
 MAX_GRID_EVALS = 10 ** 8
+
+#: the grid oracles work through their decisions in blocks small enough that
+#: no (decisions x perturbations) temporary holds more than this many floats
+ORACLE_BLOCK_FLOATS = 2 ** 18
 
 
 class InfeasibleAtResolution(RuntimeError):
@@ -156,22 +162,8 @@ def u_subproblem_value(spec: RockafellianSpec, costs, y_nu, u) -> float:
     total = 0.0
     for qi, ci in zip(q, costs):
         total = ext_add(total, ext_mul(qi, ci))
-    if isinstance(spec, QuadraticPenalty):
-        pen = 0.5 * spec.theta_nu * float(u @ u)
-    elif isinstance(spec, PhiDivergencePenalty):
-        pen = ext_mul(spec.theta_nu, phi_divergence(spec.family, np.maximum(q, 0.0),
-                                                    spec.p_nu))
-    elif isinstance(spec, L1Penalty):
-        pen = spec.theta * float(np.abs(u).sum())
-    elif isinstance(spec, SupportPerturbation):
-        pen = 0.5 * spec.theta_nu * float(u @ u)
-    else:
-        raise TypeError(f"no u-subproblem for spec type {type(spec)!r}")
+    pen = weight_penalty(spec, u, np.maximum(q, 0.0))
     return ext_add(ext_add(total, pen), -float(y @ u))
-
-
-def _sub_projection(p_sub: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    return project_to_simplex(p_sub + shift)
 
 
 def _quadratic_u_step(spec, costs: np.ndarray, y: np.ndarray, finite: np.ndarray,
@@ -183,7 +175,7 @@ def _quadratic_u_step(spec, costs: np.ndarray, y: np.ndarray, finite: np.ndarray
         j = int(np.argmin(c))
         q[np.nonzero(finite)[0][j]] = 1.0
         return q
-    q[finite] = _sub_projection(p[finite], -c / theta)
+    q[finite] = project_to_simplex(p[finite] - c / theta)
     return q
 
 
@@ -195,51 +187,67 @@ def _phi_u_step(spec: PhiDivergencePenalty, costs: np.ndarray, y: np.ndarray,
     idx = np.nonzero(finite)[0]
     c = costs[idx] - y[idx]
     psub = p[idx]
-    if np.any(psub == 0.0):
-        raise ValueError("divergence reweighting needs positive base weights "
-                         "on the finite-cost face")
     q = np.zeros(p.size)
     if theta == 0.0:
         q[idx[int(np.argmin(c))]] = 1.0
         return q
 
     if fam.tag == "variational":
-        # sum p_i |q_i/p_i - 1| = |u|_1 on the positive face, so this
-        # subproblem is exactly the l1 linear program at strength theta
+        # sum p_i |q_i/p_i - 1| = |u|_1 (a zero base weight adds q_i = |u_i|),
+        # so this subproblem is exactly the l1 linear program at strength theta
         return _l1_u_step(L1Penalty(p_nu=p, theta=theta), costs, y, finite)
 
     if fam.dphi_inv is not None:
+        # u_step keeps zero base weights on the face only for a finite
+        # limit_slope; there mass on them costs c_i + theta * slope linearly,
+        # so the multiplier mu cannot exceed the cheapest such cost
+        pos = psub > 0.0
+        zero_cost = c[~pos] + theta * fam.limit_slope
+        cpos, ppos = c[pos], psub[pos]
+
         def mass(mu: float) -> float:
             total = 0.0
-            for ci, pi in zip(c, psub):
+            for ci, pi in zip(cpos, ppos):
                 t = fam.dphi_inv((mu - ci) / theta)
                 if t == INF:
                     return INF
                 total += pi * t
             return total
 
-        lo, hi = float(c.min()), float(c.max())
-        if mass(hi) < 1.0:
-            span = max(1.0, hi - lo)
-            while mass(hi) < 1.0:
-                hi += span
-                span *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mass(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15 * max(1.0, abs(hi)):
-                break
-        mu = 0.5 * (lo + hi)
+        capped = zero_cost.size > 0 and mass(float(zero_cost.min())) < 1.0
+        if capped:
+            mu = float(zero_cost.min())
+        else:
+            lo, hi = float(cpos.min()), float(cpos.max())
+            if mass(hi) < 1.0:
+                span = max(1.0, hi - lo)
+                while mass(hi) < 1.0:
+                    hi += span
+                    span *= 2.0
+            if zero_cost.size:
+                hi = min(hi, float(zero_cost.min()))
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mass(mid) < 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < 1e-15 * max(1.0, abs(hi)):
+                    break
+            mu = 0.5 * (lo + hi)
         t = np.array([min(fam.dphi_inv((mu - ci) / theta), 1.0 / pi)
-                      for ci, pi in zip(c, psub)])
-        qsub = np.maximum(psub * t, 0.0)
+                      for ci, pi in zip(cpos, ppos)])
+        qsub = np.maximum(ppos * t, 0.0)
+        if capped:
+            # the positive weights fall short of 1 at the cap; the rest goes
+            # to the first cheapest zero-weight scenario
+            q[idx[pos]] = qsub
+            q[idx[~pos][int(np.argmin(zero_cost))]] = 1.0 - qsub.sum()
+            return q
         total = qsub.sum()
         if total <= 0:
             raise ArithmeticError("divergence dual bisection collapsed")
-        q[idx] = qsub / total
+        q[idx[pos]] = qsub / total
         return q
 
     # families without an invertible derivative: direct NLP on the face,
@@ -299,8 +307,10 @@ def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]
     """Exact minimizer over {u | p + u in the simplex} at fixed costs.
 
     Scenarios with infinite cost are excluded from receiving weight (the
-    minimization is restricted to the face where they carry none); if every
-    cost is infinite the value is +inf at u = -p.
+    minimization is restricted to the face where they carry none), and so,
+    for theta > 0, are zero base weights under a divergence family whose
+    limit_slope is infinite; if no scenario is left the value is +inf at
+    u = -p.
     """
     if isinstance(spec, (ExactIndicator, CompositePenalty)):
         raise TypeError("this variant has no simplex reweighting step")
@@ -309,6 +319,10 @@ def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]
     if costs.size != p.size:
         raise ValueError("cost vector length mismatch")
     y = np.zeros(p.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
+    if (isinstance(spec, PhiDivergencePenalty) and spec.theta_nu > 0.0
+            and spec.family.limit_slope == INF):
+        # any mass on a zero base weight costs +inf under these families
+        finite = finite & (p > 0.0)
     if not finite.any():
         return -p.copy(), INF
     if isinstance(spec, QuadraticPenalty):
@@ -473,25 +487,18 @@ def _support_xv_step(program: StochasticProgram, spec: SupportPerturbation,
     return best
 
 
-def composite_reduced_objective(spec: CompositePenalty, program: StochasticProgram,
-                                x: np.ndarray) -> float:
-    """min over u of the composite relaxation at fixed x (closed form)."""
+def _composite_reduced(spec: CompositePenalty, program: StochasticProgram,
+                       x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+    """(min over u of the composite relaxation at fixed x, its minimizer),
+    in closed form; the minimizer is None where the value is +inf."""
     block = program.composite
     y = spec.tilt_m(block.m)
     base = weighted_objective(program, spec.p_nu, x)
     if base == INF:
-        return INF
+        return INF, None
     ev = block.expectation(spec.p_nu, np.atleast_1d(np.asarray(x, float)))
     u = np.minimum(y / spec.theta_nu, block.b - ev)
-    return base + 0.5 * spec.theta_nu * float(u @ u) - float(y @ u)
-
-
-def _composite_best_u(spec: CompositePenalty, program: StochasticProgram,
-                      x: np.ndarray) -> np.ndarray:
-    block = program.composite
-    y = spec.tilt_m(block.m)
-    ev = block.expectation(spec.p_nu, np.atleast_1d(np.asarray(x, float)))
-    return np.minimum(y / spec.theta_nu, block.b - ev)
+    return base + 0.5 * spec.theta_nu * float(u @ u) - float(y @ u), u
 
 
 def _x_objective(spec, program, u, v=None):
@@ -569,9 +576,8 @@ def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
     if isinstance(spec, CompositePenalty):
         if not isinstance(method, GridMethod):
             raise ValueError("the composite variant requires the grid method")
-        x, val = x_step(lambda z: composite_reduced_objective(spec, program, z),
-                        method)
-        u = _composite_best_u(spec, program, x)
+        x, val = x_step(lambda z: _composite_reduced(spec, program, z)[0], method)
+        _, u = _composite_reduced(spec, program, x)
         return SolveReport(u_final=u, x_final=x, value=val,
                            plain_objective=plain_objective(spec, program, u, x),
                            trace=[val], iterations=1,
@@ -653,6 +659,169 @@ class OracleResult:
     v: Optional[np.ndarray] = None
 
 
+def _grid_array(box, resolution: float) -> np.ndarray:
+    """The decision grid as one (points, dimension) array, in grid_points order."""
+    return np.fromiter(grid_points(box, resolution),
+                       dtype=np.dtype((float, len(box))))
+
+
+def _tabulate(fn: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
+    return np.fromiter((fn(x) for x in xs), dtype=float, count=len(xs))
+
+
+def _expectation_table(block, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    ev = np.empty((len(xs), block.m))
+    for row, x in enumerate(xs):
+        ev[row] = block.expectation(weights, x)
+    return ev
+
+
+class _CostTable:
+    """f0 and per-scenario costs on a fixed decision grid.
+
+    f0 and each cost column are evaluated over the whole grid the first time
+    a weighting needs them and are kept, so every cost is computed at most
+    once per grid decision however many weightings are asked for.
+    """
+
+    def __init__(self, xs: np.ndarray, f0: Callable[[np.ndarray], float],
+                 costs: Sequence[Callable[[np.ndarray], float]]):
+        self.xs = xs
+        self._f0_fn = f0
+        self._cost_fns = costs
+        self._f0: Optional[np.ndarray] = None
+        self._F = np.zeros((len(xs), len(costs)))
+        self._have = np.zeros(len(costs), dtype=bool)
+
+    def weighted(self, W: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """f0 + sum_i W[k, i] cost_i at each decision in ``rows`` (axis 0)
+        under each weighting k (axis 1).
+
+        Terms are added in scenario order, as ``weighted_objective`` adds
+        them, and a zero weight adds nothing, so 0 * inf = 0.
+        """
+        if self._f0 is None:
+            self._f0 = _tabulate(self._f0_fn, self.xs)
+        used = np.any(W != 0.0, axis=0)
+        for i in np.flatnonzero(used & ~self._have):
+            self._F[:, i] = _tabulate(self._cost_fns[i], self.xs)
+            self._have[i] = True
+        F = self._F[rows]
+        total = np.repeat(self._f0[rows][:, None], W.shape[0], axis=1)
+        term = np.empty_like(total)
+        with np.errstate(invalid="ignore"):
+            for i in np.flatnonzero(used):
+                w = W[:, i]
+                np.multiply.outer(F[:, i], w, out=term)
+                term[:, w == 0.0] = 0.0
+                total += term
+        return total
+
+
+def _weightings(spec: RockafellianSpec, U: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per perturbation row u: the weights max(p + u, 0) the relaxation puts
+    on the costs, its penalty and its -<y, u> term, formed as eval_approx
+    forms them; a row whose p + u leaves the simplex gets penalty +inf."""
+    y = spec.tilt()
+    W = np.maximum(spec.p_nu + U, 0.0)
+    pen = np.empty(len(U))
+    tilt = np.empty(len(U))
+    for k, u in enumerate(U):
+        pen[k] = weight_penalty(spec, u, W[k]) if _in_simplex(spec.p_nu + u) else INF
+        tilt[k] = -float(y @ u)
+    return W, pen, tilt
+
+
+def _nan_to_inf(vals: np.ndarray) -> np.ndarray:
+    """A nan candidate never wins a strict comparison, so it counts as +inf."""
+    vals[np.isnan(vals)] = INF
+    return vals
+
+
+def _simplex_grid_values(program: StochasticProgram, spec: RockafellianSpec,
+                         xs: np.ndarray, U: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per decision, the minimum of eval_approx over the rows of U and the
+    first row attaining it."""
+    W, pen, tilt = _weightings(spec, U)
+    table = _CostTable(xs, program.f0, program.scenarios)
+    x_values = np.empty(len(xs))
+    best_k = np.empty(len(xs), dtype=int)
+    step = max(1, ORACLE_BLOCK_FLOATS // len(U))
+    for start in range(0, len(xs), step):
+        rows = slice(start, start + step)
+        vals = table.weighted(W, rows)
+        vals += pen
+        vals += tilt
+        k = np.argmin(_nan_to_inf(vals), axis=1)
+        best_k[rows] = k
+        x_values[rows] = vals[np.arange(k.size), k]
+    return x_values, U[best_k]
+
+
+def _support_grid_values(program: StochasticProgram, spec: SupportPerturbation,
+                         xs: np.ndarray, U: np.ndarray, v_axis: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per decision, the minimum over the rows of U and the shifts on v_axis,
+    with the first (u, v) attaining it.
+
+    The shift penalty separates per scenario at fixed (u, x), so the v
+    product grid collapses to one axis per scenario; the generator is called
+    once per (decision, scenario, shift), never where f0 is +inf.
+    """
+    s, nv = program.s, v_axis.size
+    W = spec.p_nu + U  # the support variant's weights enter unclipped
+    y = spec.tilt()
+    pen = np.array([weight_penalty(spec, u, w) for u, w in zip(U, W)])
+    tilt = np.array([float(y @ u) for u in U])
+    shift_pen = 0.5 * spec.lambda_nu * v_axis * v_axis
+    step = max(1, ORACLE_BLOCK_FLOATS // nv)
+    x_values = np.full(len(xs), INF)
+    u_rows = np.zeros((len(xs), s))
+    v_rows = np.zeros((len(xs), s, 1))
+    for ix, x in enumerate(xs):
+        f0 = program.f0(x)
+        if f0 == INF:
+            continue
+        G = np.array([[float(program.generator(spec.xi_nu[i] + v_axis[j:j + 1], x))
+                       for j in range(nv)] for i in range(s)])
+        total = f0 + pen - tilt
+        V = np.empty((len(U), s))
+        for i in range(s):
+            for start in range(0, len(U), step):
+                rows = slice(start, start + step)
+                w = W[rows, i:i + 1]
+                with np.errstate(invalid="ignore"):
+                    vals = np.where(w == 0.0, 0.0, w * G[i]) + shift_pen
+                j = np.argmin(vals, axis=1)
+                V[rows, i] = v_axis[j]
+                total[rows] += vals[np.arange(j.size), j]
+        k = int(np.argmin(_nan_to_inf(total)))
+        x_values[ix], u_rows[ix], v_rows[ix, :, 0] = total[k], U[k], V[k]
+    return x_values, u_rows, v_rows
+
+
+def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
+                           xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per decision, the closed-form minimum over u of the composite
+    relaxation and its minimizer; the constraint maps are evaluated only
+    where the weighted objective is finite."""
+    block = program.composite
+    y = spec.tilt_m(block.m)
+    base = _CostTable(xs, program.f0, program.scenarios).weighted(
+        spec.p_nu[None, :])[:, 0]
+    finite = base != INF
+    ev = _expectation_table(block, spec.p_nu, xs[finite])
+    U = np.zeros((len(xs), block.m))
+    U[finite] = np.minimum(y / spec.theta_nu, block.b - ev)
+    x_values = np.full(len(xs), INF)
+    uf = U[finite]
+    x_values[finite] = base[finite] + 0.5 * spec.theta_nu * np.einsum(
+        "ij,ij->i", uf, uf) - uf @ y
+    return x_values, U
+
+
 def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
                        u_resolution: float, x_box, x_resolution: float,
                        deltas: Sequence[float] = (),
@@ -662,23 +831,21 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
 
     For each decision point the oracle takes the minimum over its
     perturbation grid, so the delta-argmin sets are sets of decisions.
+    It enumerates every grid pair and never calls the solver's steps, but
+    evaluates f0, each scenario cost and each constraint map once per grid
+    decision (the support generator once per decision, scenario and shift)
+    and takes the minimum over the perturbation grid with array operations.
+    Ties go to the first decision in lexicographic grid order, then to the
+    first perturbation in ``simplex_grid`` order.
     """
     s = program.s
-    if isinstance(spec, ExactIndicator):
-        u_grid: List[np.ndarray] = [np.zeros(
-            program.composite.m if program.composite is not None else s)]
-    elif isinstance(spec, CompositePenalty):
-        u_grid = []
-    elif isinstance(spec, SupportPerturbation):
+    U = None
+    if not isinstance(spec, (ExactIndicator, CompositePenalty)):
         if s > 4:
             raise ValueError("simplex grids limited to s <= 4")
-        u_grid = [q - spec.p_nu for q in simplex_grid(s, u_resolution)]
-    else:
-        if s > 4:
-            raise ValueError("simplex grids limited to s <= 4")
-        u_grid = [q - spec.p_nu for q in simplex_grid(s, u_resolution)]
+        U = np.array(simplex_grid(s, u_resolution)) - spec.p_nu
 
-    xs = list(grid_points(x_box, x_resolution))
+    xs = _grid_array(x_box, x_resolution)
     v_axis = None
     if isinstance(spec, SupportPerturbation):
         if v_box is None or v_resolution is None:
@@ -686,84 +853,86 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
         if spec.xi_nu.shape[1] != 1:
             raise ValueError("support oracle handles 1-d support points only")
         v_axis = grid_axis(v_box[0], v_box[1], v_resolution)
-    n_evals = len(xs) * max(1, len(u_grid)) * (
+    n_evals = len(xs) * (1 if U is None else len(U)) * (
         s * v_axis.size if v_axis is not None else 1)
     if n_evals > MAX_GRID_EVALS:
         raise ValueError(f"{n_evals} oracle evaluations exceed the cap")
 
-    best_u = None
-    best_v = None
-    best_x = None
-    best_val = INF
-    x_values = np.full(len(xs), INF)
-    for ix, x in enumerate(xs):
-        local = INF
-        local_u = None
-        local_v = None
-        if isinstance(spec, ExactIndicator):
-            val = eval_exact(program, u_grid[0], x)
-            local, local_u = val, u_grid[0]
-        elif isinstance(spec, CompositePenalty):
-            val = composite_reduced_objective(spec, program, x)
-            if val < local:
-                local, local_u = val, _composite_best_u(spec, program, x)
-        elif isinstance(spec, SupportPerturbation):
-            f0 = program.f0(x)
-            if f0 == INF:
-                local = INF
-            else:
-                # the shift penalty separates per scenario at fixed (u, x),
-                # so the v product grid collapses to one axis per scenario
-                for u in u_grid:
-                    q = spec.p_nu + u
-                    total = f0 + 0.5 * spec.theta_nu * float(u @ u) \
-                        - float(spec.tilt() @ u)
-                    v = np.zeros((s, 1))
-                    for i in range(s):
-                        vals = [ext_add(
-                            ext_mul(q[i], float(program.generator(
-                                spec.xi_nu[i] + np.array([vv]), x))),
-                            0.5 * spec.lambda_nu * vv * vv) for vv in v_axis]
-                        j = int(np.argmin(vals))
-                        v[i, 0] = v_axis[j]
-                        total = ext_add(total, float(vals[j]))
-                    if total < local:
-                        local, local_u, local_v = total, u, v
-        else:
-            for u in u_grid:
-                val = eval_approx(spec, program, u, x)
-                if val < local:
-                    local, local_u = val, u
-        x_values[ix] = local
-        if local < best_val:
-            best_val = local
-            best_x = x
-            best_u = local_u
-            best_v = local_v
-    if best_x is None or best_val == INF:
+    v_rows = None
+    if isinstance(spec, ExactIndicator):
+        # one perturbation per decision: nothing to reuse
+        u0 = np.zeros(program.composite.m if program.composite is not None else s)
+        x_values = _tabulate(lambda x: eval_exact(program, u0, x), xs)
+        u_rows = np.zeros((len(xs), u0.size))
+    elif isinstance(spec, CompositePenalty):
+        x_values, u_rows = _composite_grid_values(program, spec, xs)
+    elif isinstance(spec, SupportPerturbation):
+        x_values, u_rows, v_rows = _support_grid_values(program, spec, xs, U, v_axis)
+    else:
+        x_values, u_rows = _simplex_grid_values(program, spec, xs, U)
+
+    ix = int(np.argmin(_nan_to_inf(x_values)))
+    best_val = x_values[ix]
+    if best_val == INF:
         raise InfeasibleAtResolution("oracle found no finite point")
-    sets: Dict[float, np.ndarray] = {}
-    xs_arr = np.array(xs)
-    for d in deltas:
-        sets[float(d)] = xs_arr[x_values <= best_val + d + 1e-12]
-    return OracleResult(u=best_u, x=best_x, value=float(best_val),
-                        argmin_sets=sets, v=best_v)
+    sets = {float(d): xs[x_values <= best_val + d + 1e-12] for d in deltas}
+    return OracleResult(u=u_rows[ix].copy(), x=xs[ix].copy(), value=float(best_val),
+                        argmin_sets=sets,
+                        v=None if v_rows is None else v_rows[ix].copy())
 
 
 def make_min_value_oracle(program: StochasticProgram, spec: RockafellianSpec,
                           x_box, x_resolution: float) -> Callable[[np.ndarray], float]:
-    """u -> grid infimum over x of the selected relaxation at that u."""
-    xs = list(grid_points(x_box, x_resolution))
+    """u -> grid infimum over x of the selected relaxation at that u.
+
+    f0 and each scenario cost (for the support variant, the generator at the
+    unshifted support points) are tabulated on the x-grid the first time a
+    query puts weight on them, and the composite expectation the first time
+    a query needs it; later queries are array reductions. Queries off the
+    shifted simplex, or off u = 0 for the exact variant, evaluate nothing.
+    For the composite variant the weighted objective is tabulated on the
+    whole grid, including decisions the query finds infeasible.
+    """
+    xs = _grid_array(x_box, x_resolution)
+    block = program.composite
+    if isinstance(spec, SupportPerturbation):
+        if program.generator is None:
+            raise ValueError("support perturbation requires a generator map")
+        costs = [lambda x, pt=pt: support_cost(program, pt, x) for pt in spec.xi_nu]
+    else:
+        costs = program.scenarios
+    table = _CostTable(xs, program.f0, costs)
+    anchor = program.p if isinstance(spec, ExactIndicator) else spec.p_nu
+    expectation = functools.cache(lambda: _expectation_table(block, anchor, xs))
+
+    def values(u: np.ndarray) -> np.ndarray:
+        if isinstance(spec, ExactIndicator):
+            if u.size != (program.s if block is None else block.m):
+                raise ValueError("perturbation dimension mismatch")
+            if np.any(u != 0.0):
+                return np.array([INF])
+            vals = table.weighted(anchor[None, :])[:, 0]
+            if block is not None:
+                vals[np.any(expectation() > block.b + 1e-12, axis=1)] = INF
+            return vals
+        if isinstance(spec, CompositePenalty):
+            if block is None:
+                raise ValueError("program has no composite block")
+            if u.size != block.m:
+                raise ValueError("composite perturbation dimension mismatch")
+            vals = table.weighted(anchor[None, :])[:, 0] \
+                + 0.5 * spec.theta_nu * float(u @ u) - float(spec.tilt_m(block.m) @ u)
+            vals[np.any(u + expectation() > block.b + 1e-12, axis=1)] = INF
+            return vals
+        if u.size != program.s:
+            raise ValueError("perturbation dimension mismatch")
+        W, pen, tilt = _weightings(spec, u[None, :])
+        if pen[0] == INF:
+            return pen
+        return (table.weighted(W) + pen + tilt)[:, 0]
 
     def oracle(u: np.ndarray) -> float:
-        best = INF
-        for x in xs:
-            if isinstance(spec, ExactIndicator):
-                val = eval_exact(program, u, x)
-            else:
-                val = eval_approx(spec, program, u, x)
-            if val < best:
-                best = val
-        return best
+        return float(np.min(_nan_to_inf(values(np.atleast_1d(
+            np.asarray(u, dtype=float))))))
 
     return oracle

@@ -94,11 +94,20 @@ def test_phi_u_step_matches_grid_oracle_all_families():
                 pytest.approx(val, abs=1e-9)
 
 
-def test_phi_u_step_zero_base_weight_rejected():
-    spec = PhiDivergencePenalty(p_nu=np.array([1.0, 0.0]), theta_nu=1.0,
-                                family=FAMILIES["burg"])
-    with pytest.raises(ValueError):
-        u_step(spec, np.array([1.0, 0.0]))
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_phi_u_step_zero_base_weight_matches_grid_oracle(tag):
+    # the zero-weight scenario is the cheapest, then the dearest
+    p = np.array([0.5, 0.5, 0.0])
+    spec = PhiDivergencePenalty(p_nu=p, theta_nu=1.0, family=FAMILIES[tag])
+    for costs in (np.array([0.0, 1.0, -2.0]), np.array([0.0, 1.0, 2.0])):
+        u, val = u_step(spec, costs)
+        q = p + u
+        assert np.all(q >= -1e-12) and q.sum() == pytest.approx(1.0, abs=1e-12)
+        if FAMILIES[tag].limit_slope == INF:
+            assert q[2] == 0.0
+        assert u_subproblem_value(spec, costs, None, u) == pytest.approx(val, abs=1e-9)
+        _, gval = u_step_grid_oracle(spec, costs)
+        assert val <= gval + 1e-6, (tag, costs)
 
 
 def test_u_step_excludes_infinite_costs():
