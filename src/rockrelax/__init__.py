@@ -1,9 +1,10 @@
 """Relaxation of finite-support stochastic programs under weight ambiguity.
 
 The library evaluates bivariate relaxations of scenario programs, solves
-them by alternating exact reweighting steps with grid or gradient decision
-steps, and certifies the results against brute-force oracles and
-convergence-rate bounds.
+them by a grid or gradient decision step on the objective with the weight
+perturbation minimized out exactly (the support-shift variant alternates),
+and certifies the results against brute-force oracles and convergence-rate
+bounds.
 """
 from .analysis import (EmpiricalRateReport, RateCertificate, RateRow,
                        ResidualReport, empirical_rate_check,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .extreal import INF, ext_add, ext_mul
 
@@ -19,9 +20,9 @@ from .extreal import INF, ext_add, ext_mul
 class PhiFamily:
     """Convex Phi with Phi(1) = 0 and a unique minimizer at 1.
 
-    ``dphi_inv`` inverts the derivative of Phi on (0, inf) where a closed
-    form exists; the reweighting subproblem solver falls back to a numeric
-    1-d search when it is None.
+    ``dphi_inv`` inverts the derivative of Phi on (0, inf); the reweighting
+    step bisects on it. Only the variational family, whose Phi' is a step,
+    leaves it None: its reweighting is the l1 one.
     """
 
     tag: str
@@ -48,6 +49,13 @@ def _jdiv(t: float) -> float:
     return (t - 1.0) * math.log(t)
 
 
+def _jdiv_dphi_inv(z: float) -> float:
+    # Phi'(t) = log t + 1 - 1/t = z; with t = 1/w this is w + log w = 1 - z,
+    # solved by the Wright omega function (real on the real line)
+    w = float(np.real(wrightomega(1.0 - z)))
+    return INF if w == 0.0 else 1.0 / w
+
+
 def _chi2(t: float) -> float:
     return (t - 1.0) ** 2
 
@@ -71,7 +79,7 @@ FAMILIES = {
                     dphi_inv=lambda z: math.exp(min(z, 700.0))),
     "burg": PhiFamily("burg", _burg, 1.0,
                       dphi_inv=lambda z: 1.0 / (1.0 - z) if z < 1.0 else INF),
-    "j": PhiFamily("j", _jdiv, INF),
+    "j": PhiFamily("j", _jdiv, INF, dphi_inv=_jdiv_dphi_inv),
     "chi2": PhiFamily("chi2", _chi2, INF,
                       dphi_inv=lambda z: max(0.0, 1.0 + z / 2.0)),
     "mod_chi2": PhiFamily("mod_chi2", _mod_chi2, 1.0,

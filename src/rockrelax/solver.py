@@ -1,21 +1,21 @@
 """Joint minimization of the relaxed objective and brute-force grid oracles.
 
-The outer loop alternates an exact reweighting step (closed form, dual
-bisection, or a linear program depending on the variant) with a pluggable
-decision step. Grid oracles provide ground truth on small instances.
+Each simplex variant has an exact reweighting step (a simplex projection, a
+dual bisection, or the l1 closed form), and the composite variant a
+closed-form slack step, so the solver minimizes the reduced objective
+min_u f(u, x) with one pluggable decision step. Only the support variant
+alternates. Grid oracles provide ground truth on small instances.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
-from .divergence import phi_divergence
 from .extreal import INF, StochasticProgram, ext_add, ext_mul, weighted_objective
 from .rockafellian import (CompositePenalty, ExactIndicator, L1Penalty,
                            PerturbationPoint, PhiDivergencePenalty,
@@ -64,15 +64,13 @@ XMethod = Union[GridMethod, ProjectedGradientMethod]
 class SolveConfig:
     x_method: XMethod
     max_outer_iters: int = 50
-    u_tolerance: float = 1e-10
     objective_tolerance: float = 1e-9
-    seed: int = 0
     v_box: Optional[Tuple[float, float]] = None
     v_resolution: Optional[float] = None
 
     def __post_init__(self):
-        if self.u_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.objective_tolerance <= 0:
+            raise ValueError("objective_tolerance must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("need at least one outer iteration")
 
@@ -194,112 +192,76 @@ def _phi_u_step(spec: PhiDivergencePenalty, costs: np.ndarray, y: np.ndarray,
 
     if fam.tag == "variational":
         # sum p_i |q_i/p_i - 1| = |u|_1 (a zero base weight adds q_i = |u_i|),
-        # so this subproblem is exactly the l1 linear program at strength theta
-        return _l1_u_step(L1Penalty(p_nu=p, theta=theta), costs, y, finite)
+        # so this subproblem is exactly the l1 one at strength theta
+        return _l1_u_step(p, costs, y, finite, theta)
+    if fam.dphi_inv is None:
+        raise ValueError(f"{fam.tag}: reweighting needs the inverse of Phi'")
 
-    if fam.dphi_inv is not None:
-        # u_step keeps zero base weights on the face only for a finite
-        # limit_slope; there mass on them costs c_i + theta * slope linearly,
-        # so the multiplier mu cannot exceed the cheapest such cost
-        pos = psub > 0.0
-        zero_cost = c[~pos] + theta * fam.limit_slope
-        cpos, ppos = c[pos], psub[pos]
+    # u_step keeps zero base weights on the face only for a finite
+    # limit_slope; there mass on them costs c_i + theta * slope linearly,
+    # so the multiplier mu cannot exceed the cheapest such cost
+    pos = psub > 0.0
+    zero_cost = c[~pos] + theta * fam.limit_slope
+    cpos, ppos = c[pos], psub[pos]
 
-        def mass(mu: float) -> float:
-            total = 0.0
-            for ci, pi in zip(cpos, ppos):
-                t = fam.dphi_inv((mu - ci) / theta)
-                if t == INF:
-                    return INF
-                total += pi * t
-            return total
+    def mass(mu: float) -> float:
+        total = 0.0
+        for ci, pi in zip(cpos, ppos):
+            t = fam.dphi_inv((mu - ci) / theta)
+            if t == INF:
+                return INF
+            total += pi * t
+        return total
 
-        capped = zero_cost.size > 0 and mass(float(zero_cost.min())) < 1.0
-        if capped:
-            mu = float(zero_cost.min())
-        else:
-            lo, hi = float(cpos.min()), float(cpos.max())
-            if mass(hi) < 1.0:
-                span = max(1.0, hi - lo)
-                while mass(hi) < 1.0:
-                    hi += span
-                    span *= 2.0
-            if zero_cost.size:
-                hi = min(hi, float(zero_cost.min()))
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mass(mid) < 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-15 * max(1.0, abs(hi)):
-                    break
-            mu = 0.5 * (lo + hi)
-        t = np.array([min(fam.dphi_inv((mu - ci) / theta), 1.0 / pi)
-                      for ci, pi in zip(cpos, ppos)])
-        qsub = np.maximum(ppos * t, 0.0)
-        if capped:
-            # the positive weights fall short of 1 at the cap; the rest goes
-            # to the first cheapest zero-weight scenario
-            q[idx[pos]] = qsub
-            q[idx[~pos][int(np.argmin(zero_cost))]] = 1.0 - qsub.sum()
-            return q
-        total = qsub.sum()
-        if total <= 0:
-            raise ArithmeticError("divergence dual bisection collapsed")
-        q[idx[pos]] = qsub / total
+    capped = zero_cost.size > 0 and mass(float(zero_cost.min())) < 1.0
+    if capped:
+        mu = float(zero_cost.min())
+    else:
+        lo, hi = float(cpos.min()), float(cpos.max())
+        if mass(hi) < 1.0:
+            span = max(1.0, hi - lo)
+            while mass(hi) < 1.0:
+                hi += span
+                span *= 2.0
+        if zero_cost.size:
+            hi = min(hi, float(zero_cost.min()))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mass(mid) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-15 * max(1.0, abs(hi)):
+                break
+        mu = 0.5 * (lo + hi)
+    t = np.array([min(fam.dphi_inv((mu - ci) / theta), 1.0 / pi)
+                  for ci, pi in zip(cpos, ppos)])
+    qsub = np.maximum(ppos * t, 0.0)
+    if capped:
+        # the positive weights fall short of 1 at the cap; the rest goes
+        # to the first cheapest zero-weight scenario
+        q[idx[pos]] = qsub
+        q[idx[~pos][int(np.argmin(zero_cost))]] = 1.0 - qsub.sum()
         return q
-
-    # families without an invertible derivative: direct NLP on the face,
-    # polished against the base point and the vertices
-    def obj(qsub: np.ndarray) -> float:
-        qq = np.maximum(qsub, 0.0)
-        d = phi_divergence(fam, qq, psub)
-        if d == INF:
-            return 1e30
-        return float(c @ qsub) + theta * d
-
-    res = minimize(obj, psub, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * psub.size,
-                   constraints=[{"type": "eq", "fun": lambda z: z.sum() - 1.0}],
-                   options={"maxiter": 500, "ftol": 1e-14})
-    best_q, best_v = psub.copy(), obj(psub)
-    if res.success:
-        cand = np.maximum(res.x, 0.0)
-        cand = cand / cand.sum()
-        v = obj(cand)
-        if v < best_v:
-            best_q, best_v = cand, v
-    for j in range(psub.size):
-        vert = np.zeros(psub.size)
-        vert[j] = 1.0
-        v = obj(vert)
-        if v < best_v:
-            best_q, best_v = vert, v
-    q[idx] = best_q
+    total = qsub.sum()
+    if total <= 0:
+        raise ArithmeticError("divergence dual bisection collapsed")
+    q[idx[pos]] = qsub / total
     return q
 
 
-def _l1_u_step(spec: L1Penalty, costs: np.ndarray, y: np.ndarray,
-               finite: np.ndarray) -> np.ndarray:
-    p = spec.p_nu
-    idx = np.nonzero(finite)[0]
-    c = costs[idx] - y[idx]
-    m = idx.size
-    # variables [a; b] >= 0 with q = p + a - b on the finite face
-    obj = np.concatenate([c + spec.theta, -c + spec.theta])
-    a_eq = np.concatenate([np.ones(m), -np.ones(m)])[None, :]
-    b_eq = np.array([1.0 - p[idx].sum()])
-    a_ub = np.concatenate([-np.eye(m), np.eye(m)], axis=1)
-    b_ub = p[idx]
-    res = linprog(obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * (2 * m), method="highs")
-    if not res.success:
-        raise ArithmeticError(f"reweighting linear program failed: {res.message}")
-    a, b = res.x[:m], res.x[m:]
-    q = np.zeros(p.size)
-    q[idx] = np.maximum(p[idx] + a - b, 0.0)
-    q[idx] = q[idx] / q[idx].sum()
+def _l1_u_step(p: np.ndarray, costs: np.ndarray, y: np.ndarray,
+               finite: np.ndarray, theta: float) -> np.ndarray:
+    """Moving a unit of weight from scenario i to j changes the objective by
+    c_j - c_i + 2 theta, so the minimizer keeps p on the finite face except
+    that every scenario costing more than min c + 2 theta hands its weight to
+    the first cheapest one, which also receives the weight of the scenarios
+    off the face. Ties at exactly 2 theta stay put."""
+    c = np.where(finite, costs - y, INF)
+    j = int(np.argmin(c))
+    move = ~finite | (c > c[j] + 2.0 * theta)
+    q = np.where(move, 0.0, p)
+    q[j] += p[move].sum()
     return q
 
 
@@ -325,14 +287,12 @@ def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]
         finite = finite & (p > 0.0)
     if not finite.any():
         return -p.copy(), INF
-    if isinstance(spec, QuadraticPenalty):
-        q = _quadratic_u_step(spec, costs, y, finite, spec.theta_nu)
-    elif isinstance(spec, SupportPerturbation):
+    if isinstance(spec, (QuadraticPenalty, SupportPerturbation)):
         q = _quadratic_u_step(spec, costs, y, finite, spec.theta_nu)
     elif isinstance(spec, PhiDivergencePenalty):
         q = _phi_u_step(spec, costs, y, finite)
     elif isinstance(spec, L1Penalty):
-        q = _l1_u_step(spec, costs, y, finite)
+        q = _l1_u_step(p, costs, y, finite, spec.theta)
     else:
         raise TypeError(f"unknown spec type {type(spec)!r}")
     u = q - p
@@ -377,7 +337,8 @@ def u_step_grid_oracle(spec: RockafellianSpec, costs, y_nu=None,
         for q in pts:
             u = q - spec.p_nu
             v = u_subproblem_value(spec, costs, y_nu, u)
-            if v < best_v - 1e-15 * max(1.0, abs(best_v)):
+            margin = 0.0 if best_v == INF else 1e-15 * max(1.0, abs(best_v))
+            if v < best_v - margin:
                 best_v = v
                 best_u = u
         center = spec.p_nu + best_u
@@ -413,7 +374,7 @@ def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
     if isinstance(method, ProjectedGradientMethod):
         if gradient is None:
             raise ValueError("projected gradient needs a gradient callable")
-        x = np.array([0.5 * (lo + hi) for lo, hi in method.box]) if x0 is None \
+        x = _box_center(method.box) if x0 is None \
             else np.asarray(x0, dtype=float).copy()
         x = _project_box(x, method.box)
         fx = objective(x)
@@ -428,7 +389,7 @@ def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
                 cand = _project_box(x - t * g, method.box)
                 fc = objective(cand)
                 drop = float(g @ (x - cand))
-                if fc <= fx - 1e-4 * drop and fc < fx:
+                if fc <= fx - 0.5 * drop and fc < fx:
                     x, fx = cand, fc
                     step = min(t * 2.0, 1e6)
                     moved = True
@@ -453,68 +414,54 @@ def _shifted_costs(program: StochasticProgram, spec: SupportPerturbation,
                      for i in range(spec.xi_nu.shape[0])])
 
 
-def _support_xv_step(program: StochasticProgram, spec: SupportPerturbation,
-                     q: np.ndarray, method: GridMethod,
-                     v_axis: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Joint decision/support-shift grid step at fixed weights q.
-
-    The shift penalty is separable per scenario, so for each candidate
-    decision the best shift is a 1-d grid minimization per scenario.
-    """
-    s, m = spec.xi_nu.shape
-    if m != 1:
-        raise ValueError("the grid shift step supports 1-d support points only")
-    best = (None, None, INF)
-    for x in grid_points(method.box, method.resolution):
-        f0 = program.f0(x)
-        if f0 == INF:
-            continue
-        total = f0
-        v_opt = np.zeros((s, 1))
-        for i in range(s):
-            vals = np.array([
-                ext_add(ext_mul(q[i], float(program.generator(
-                    spec.xi_nu[i] + np.array([vv]), x))),
-                    0.5 * spec.lambda_nu * vv * vv)
-                for vv in v_axis])
-            j = int(np.argmin(vals))
-            v_opt[i, 0] = v_axis[j]
-            total = ext_add(total, float(vals[j]))
-        if total < best[2]:
-            best = (x, v_opt, total)
-    if best[0] is None:
-        raise InfeasibleAtResolution("no finite point in the decision box")
-    return best
+Reduced = Callable[[np.ndarray], Tuple[float, Optional[np.ndarray]]]
 
 
 def _composite_reduced(spec: CompositePenalty, program: StochasticProgram,
                        x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
-    """(min over u of the composite relaxation at fixed x, its minimizer),
-    in closed form; the minimizer is None where the value is +inf."""
+    """(min over u of the composite relaxation at fixed x, its minimizer);
+    the minimizer is None where the value is +inf."""
     block = program.composite
-    y = spec.tilt_m(block.m)
     base = weighted_objective(program, spec.p_nu, x)
     if base == INF:
         return INF, None
     ev = block.expectation(spec.p_nu, np.atleast_1d(np.asarray(x, float)))
-    u = np.minimum(y / spec.theta_nu, block.b - ev)
-    return base + 0.5 * spec.theta_nu * float(u @ u) - float(y @ u), u
+    u, inner = composite_u_step(spec, ev, block.b)
+    return base + inner, u
 
 
-def _x_objective(spec, program, u, v=None):
+def _reduced_objective(spec: RockafellianSpec, program: StochasticProgram) -> Reduced:
+    """x -> (min over u of the relaxation at x, a minimizing u).
+
+    Every variant but the support one has an exact u-step, so this is the
+    relaxation with u eliminated; the u is None where the value is +inf.
+    """
     if isinstance(spec, ExactIndicator):
-        return lambda x: eval_exact(program, np.zeros(
-            program.composite.m if program.composite is not None else program.s), x)
-    if isinstance(spec, SupportPerturbation):
-        point = PerturbationPoint(u, v)
-        return lambda x: eval_approx(spec, program, point, x)
-    return lambda x: eval_approx(spec, program, u, x)
+        u0 = np.zeros(program.s if program.composite is None else program.composite.m)
+        return lambda x: (eval_exact(program, u0, x), u0)
+    if isinstance(spec, CompositePenalty):
+        return functools.partial(_composite_reduced, spec, program)
+    tilt = spec.tilt()
+
+    def reduced(x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+        f0 = program.f0(x)
+        if f0 == INF:
+            return INF, None
+        u, inner = u_step(spec, program.costs(x), tilt)
+        return ext_add(f0, inner), u
+
+    return reduced
 
 
-def _x_gradient(spec, program, u):
-    q = spec.p_nu + u
+def _danskin_gradient(spec: RockafellianSpec, program: StochasticProgram,
+                      reduced: Reduced) -> Callable[[np.ndarray], np.ndarray]:
+    """Gradient of the reduced objective: the x-gradient of the relaxation at
+    the minimizing weights q* = p + u*(x), which are unique under the
+    quadratic and strictly convex divergence penalties."""
 
     def grad(x: np.ndarray) -> np.ndarray:
+        q = program.p if isinstance(spec, ExactIndicator) \
+            else spec.p_nu + reduced(x)[1]
         g = program.f0.grad(x)
         for qi, f in zip(q, program.scenarios):
             if qi != 0.0:
@@ -542,112 +489,78 @@ def plain_objective(spec, program: StochasticProgram, u, x, v=None) -> float:
     return weighted_objective(program, q, x)
 
 
+def _report(spec, program: StochasticProgram, u, x, value: float,
+            trace: List[float], oracle_value: Optional[float],
+            v: Optional[np.ndarray] = None) -> SolveReport:
+    unbounded = value < -1e15
+    return SolveReport(u_final=u, x_final=x, value=value,
+                       plain_objective=-INF if unbounded
+                       else plain_objective(spec, program, u, x, v),
+                       trace=trace, iterations=len(trace), v_final=v,
+                       epsilon_certificate=None if oracle_value is None
+                       else value - oracle_value,
+                       unbounded=unbounded)
+
+
+def _solve_support(program: StochasticProgram, spec: SupportPerturbation,
+                   config: SolveConfig,
+                   oracle_value: Optional[float]) -> SolveReport:
+    """Alternate the exact u-step at the current shifted costs with a joint
+    decision/shift grid step at the new weights: the support oracle with one
+    perturbation row."""
+    method = config.x_method
+    if not isinstance(method, GridMethod):
+        raise ValueError("the support variant requires the grid method")
+    if config.v_box is None or config.v_resolution is None:
+        raise ValueError("support variant needs v_box and v_resolution")
+    if spec.xi_nu.shape[1] != 1:
+        raise ValueError("the grid shift step supports 1-d support points only")
+    v_axis = grid_axis(config.v_box[0], config.v_box[1], config.v_resolution)
+    xs = _grid_array(method.box, method.resolution)
+    x = _box_center(method.box)
+    v = np.zeros_like(spec.xi_nu)
+    trace: List[float] = []
+    for _ in range(config.max_outer_iters):
+        u, _ = u_step(spec, _shifted_costs(program, spec, v, x), spec.tilt())
+        x_values, _, v_rows = _support_grid_values(program, spec, xs, u[None, :],
+                                                   v_axis)
+        ix = int(np.argmin(_nan_to_inf(x_values)))
+        if x_values[ix] == INF:
+            raise InfeasibleAtResolution("no finite point in the decision box")
+        x, v = xs[ix].copy(), v_rows[ix]
+        trace.append(float(x_values[ix]))
+        if trace[-1] < -1e15 or (len(trace) > 1 and
+                                 trace[-2] - trace[-1] < config.objective_tolerance):
+            break
+    value = eval_approx(spec, program, PerturbationPoint(u, v), x)
+    return _report(spec, program, u, x, value, trace, oracle_value, v)
+
+
 def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
                 config: SolveConfig,
                 oracle_value: Optional[float] = None) -> SolveReport:
-    """Alternating minimization from the anchor and the box center.
+    """Minimize the relaxation jointly over the perturbation and the decision.
 
-    Each outer iteration runs the exact reweighting step at the current
-    decision and then the decision step at the new weights; for the support
-    variant the decision step jointly picks the support shifts, and the
-    composite variant folds its closed-form slack into the decision step.
+    Every variant but the support one has an exact u-step, so the decision
+    step runs once, on the reduced objective min_u f(u, x), and the reported
+    u is its minimizer at the reported decision: on the grid this is the
+    grid-exact joint minimum. The support variant, whose shifts and weights
+    are coupled, alternates (see ``_solve_support``). The reported value is
+    the relaxation evaluated at the reported point.
     """
-    method = config.x_method
-    x = _box_center(method.box)
-
-    if isinstance(spec, ExactIndicator) or (not isinstance(spec, CompositePenalty)
-                                            and program.s == 1):
-        dim = program.composite.m if (program.composite is not None and
-                                      isinstance(spec, ExactIndicator)) else program.s
-        u = np.zeros(dim if isinstance(spec, ExactIndicator) else program.s)
-        obj = _x_objective(ExactIndicator(), program, u) \
-            if isinstance(spec, ExactIndicator) else _x_objective(spec, program, u)
-        grad = None
-        if isinstance(method, ProjectedGradientMethod):
-            grad = _x_gradient(spec if not isinstance(spec, ExactIndicator)
-                               else QuadraticPenalty(program.p, 0.0), program, u * 0)
-        x, val = x_step(obj, method, gradient=grad, x0=x)
-        return SolveReport(u_final=u, x_final=x, value=val,
-                           plain_objective=plain_objective(spec, program, u, x),
-                           trace=[val], iterations=1,
-                           epsilon_certificate=None if oracle_value is None
-                           else val - oracle_value)
-
-    if isinstance(spec, CompositePenalty):
-        if not isinstance(method, GridMethod):
-            raise ValueError("the composite variant requires the grid method")
-        x, val = x_step(lambda z: _composite_reduced(spec, program, z)[0], method)
-        _, u = _composite_reduced(spec, program, x)
-        return SolveReport(u_final=u, x_final=x, value=val,
-                           plain_objective=plain_objective(spec, program, u, x),
-                           trace=[val], iterations=1,
-                           epsilon_certificate=None if oracle_value is None
-                           else val - oracle_value)
-
     if isinstance(spec, SupportPerturbation):
-        if not isinstance(method, GridMethod):
-            raise ValueError("the support variant requires the grid method")
-        if config.v_box is None or config.v_resolution is None:
-            raise ValueError("support variant needs v_box and v_resolution")
-        v_axis = grid_axis(config.v_box[0], config.v_box[1], config.v_resolution)
-        s = program.s
-        u = np.zeros(s)
-        v = np.zeros_like(spec.xi_nu)
-        trace: List[float] = []
-        val = INF
-        for it in range(1, config.max_outer_iters + 1):
-            costs = _shifted_costs(program, spec, v, x)
-            u, _ = u_step(spec, costs, spec.tilt())
-            q = spec.p_nu + u
-            x, v, inner = _support_xv_step(program, spec, q, method, v_axis)
-            new_val = inner + 0.5 * spec.theta_nu * float(u @ u) \
-                - float(spec.tilt() @ u)
-            trace.append(new_val)
-            if new_val < -1e15:
-                return SolveReport(u_final=u, x_final=x, value=new_val,
-                                   plain_objective=-INF, trace=trace,
-                                   iterations=it, v_final=v, unbounded=True)
-            if val - new_val < config.objective_tolerance:
-                val = min(val, new_val)
-                break
-            val = new_val
-        return SolveReport(u_final=u, x_final=x, value=val,
-                           plain_objective=plain_objective(spec, program, u, x, v),
-                           trace=trace, iterations=len(trace), v_final=v,
-                           epsilon_certificate=None if oracle_value is None
-                           else val - oracle_value)
-
-    # simplex-reweighting variants: quadratic, divergence, l1
-    u = np.zeros(program.s)
-    trace = []
-    val = INF
-    tilt = spec.tilt()
-    for it in range(1, config.max_outer_iters + 1):
-        costs = program.costs(x)
-        new_u, _ = u_step(spec, costs, tilt)
-        obj = _x_objective(spec, program, new_u)
-        grad = None
-        x0 = x
-        if isinstance(method, ProjectedGradientMethod):
-            grad = _x_gradient(spec, program, new_u)
-        x, _ = x_step(obj, method, gradient=grad, x0=x0)
-        new_val = eval_approx(spec, program, new_u, x)
-        du = float(np.max(np.abs(new_u - u)))
-        u = new_u
-        trace.append(new_val)
-        if new_val < -1e15:
-            return SolveReport(u_final=u, x_final=x, value=new_val,
-                               plain_objective=-INF, trace=trace,
-                               iterations=it, unbounded=True)
-        if val - new_val < config.objective_tolerance and du < config.u_tolerance:
-            val = min(val, new_val)
-            break
-        val = min(val, new_val)
-    return SolveReport(u_final=u, x_final=x, value=val,
-                       plain_objective=plain_objective(spec, program, u, x),
-                       trace=trace, iterations=len(trace),
-                       epsilon_certificate=None if oracle_value is None
-                       else val - oracle_value)
+        return _solve_support(program, spec, config, oracle_value)
+    method = config.x_method
+    if isinstance(spec, CompositePenalty) and not isinstance(method, GridMethod):
+        raise ValueError("the composite variant requires the grid method")
+    reduced = _reduced_objective(spec, program)
+    grad = _danskin_gradient(spec, program, reduced) \
+        if isinstance(method, ProjectedGradientMethod) else None
+    x, _ = x_step(lambda z: reduced(z)[0], method, gradient=grad)
+    u = reduced(x)[1]
+    value = eval_exact(program, u, x) if isinstance(spec, ExactIndicator) \
+        else eval_approx(spec, program, u, x)
+    return _report(spec, program, u, x, value, [value], oracle_value)
 
 
 @dataclass

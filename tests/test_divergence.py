@@ -133,6 +133,18 @@ def test_dphi_inv_inverts_derivative():
             assert fam.dphi_inv(slope) == pytest.approx(t, rel=1e-4)
 
 
+def test_j_dphi_inv_inverts_derivative():
+    # Phi'(t) = log t + 1 - 1/t for the j family
+    fam = FAMILIES["j"]
+    prev = 0.0
+    for z in np.linspace(-50.0, 50.0, 1001):
+        t = fam.dphi_inv(float(z))
+        assert 0.0 < t < INF and t > prev
+        assert math.log(t) + 1.0 - 1.0 / t == pytest.approx(z, rel=1e-14, abs=1e-14)
+        prev = t
+    assert fam.dphi_inv(1e4) == INF
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         phi_divergence(FAMILIES["kl"], np.array([1.0]), np.array([0.5, 0.5]))

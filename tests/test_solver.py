@@ -6,8 +6,9 @@ from rockrelax.divergence import FAMILIES
 from rockrelax.extreal import INF, ScenarioFunction, StochasticProgram
 from rockrelax.instances import build_example
 from rockrelax.rockafellian import (ExactIndicator, L1Penalty,
-                                    PhiDivergencePenalty, QuadraticPenalty,
-                                    eval_approx)
+                                    PerturbationPoint, PhiDivergencePenalty,
+                                    QuadraticPenalty, SupportPerturbation,
+                                    eval_approx, eval_exact)
 from rockrelax.solver import (GridMethod, InfeasibleAtResolution,
                               ProjectedGradientMethod, SolveConfig,
                               brute_force_oracle, composite_u_step, grid_axis,
@@ -78,6 +79,10 @@ def test_l1_u_step_stays_put_below_spread():
     spec = L1Penalty(p_nu=np.array([0.5, 0.5]), theta=1.0)
     u, _ = u_step(spec, np.array([0.0, -1.0]))
     assert u == pytest.approx(np.zeros(2), abs=1e-9)
+    # a spread of exactly 2 theta gains nothing, and the weights stay put
+    spec = L1Penalty(p_nu=np.array([0.3, 0.5, 0.2]), theta=0.5)
+    u, _ = u_step(spec, np.array([0.0, 1.0, 1.0]))
+    assert np.all(u == 0.0)
 
 
 def test_phi_u_step_matches_grid_oracle_all_families():
@@ -108,6 +113,26 @@ def test_phi_u_step_zero_base_weight_matches_grid_oracle(tag):
         assert u_subproblem_value(spec, costs, None, u) == pytest.approx(val, abs=1e-9)
         _, gval = u_step_grid_oracle(spec, costs)
         assert val <= gval + 1e-6, (tag, costs)
+
+
+@pytest.mark.parametrize("p, theta, costs", [
+    ([0.3, 0.5, 0.2], 0.5, [0.0, 2.5, 0.4]),     # one scenario moves
+    ([0.3, 0.5, 0.2], 0.5, [0.0, 1.0, 1.0]),     # spread exactly 2 theta
+    ([0.3, 0.5, 0.2], 0.5, [1.0, INF, 0.2]),     # an infinite cost
+    ([0.5, 0.5, 0.0], 0.5, [0.0, 3.0, -2.0]),    # cheapest has no base weight
+    ([0.5, 0.5, 0.0], 0.5, [0.0, 3.0, 2.0]),     # dearest has no base weight
+    ([0.25, 0.25, 0.5], 0.0, [0.0, 1.0, 0.0]),   # no penalty
+])
+def test_l1_u_step_closed_form_matches_grid_oracle(p, theta, costs):
+    spec = L1Penalty(p_nu=np.array(p), theta=theta)
+    costs = np.array(costs)
+    u, val = u_step(spec, costs)
+    q = spec.p_nu + u
+    assert np.all(q >= 0.0) and q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(q[~np.isfinite(costs)] == 0.0)
+    assert u_subproblem_value(spec, costs, None, u) == pytest.approx(val, abs=1e-12)
+    _, gval = u_step_grid_oracle(spec, costs)
+    assert val == pytest.approx(gval, abs=1e-9)
 
 
 def test_u_step_excludes_infinite_costs():
@@ -228,11 +253,94 @@ def test_solve_joint_support_variant():
 
 
 def test_solve_joint_trace_monotone():
-    bundle = build_example("ex21", 1000)
-    config = SolveConfig(x_method=GridMethod(box=bundle.box, resolution=1e-3))
+    # the support variant is the one that still alternates
+    bundle = build_example("ex23", 100)
+    config = SolveConfig(x_method=GridMethod(box=bundle.box, resolution=1e-2),
+                         v_box=bundle.v_box, v_resolution=bundle.v_resolution)
     report = solve_joint(bundle.perturbed, bundle.spec, config)
     for a, b in zip(report.trace, report.trace[1:]):
         assert b <= a + 1e-12
+
+
+def random_nonconvex_program(rng):
+    """s = 3 quadratic scenario costs a x^2 + c x + d on [-1, 1], a of either
+    sign, under random base weights."""
+    coef = rng.uniform(-2.0, 2.0, size=(3, 3))
+    coef[:, 2] /= 2.0
+    scen = [ScenarioFunction(evaluate=lambda x, a=a, c=c, d=d:
+                             float(a * x[0] ** 2 + c * x[0] + d))
+            for a, c, d in coef]
+    prog = StochasticProgram(f0=ScenarioFunction(evaluate=lambda x: 0.0),
+                             scenarios=scen, p=rng.dirichlet(np.ones(3)), n=1)
+    return prog, coef
+
+
+def project_rows_to_simplex(V):
+    """Euclidean projection of every row of V onto the probability simplex."""
+    S = -np.sort(-V, axis=1)
+    css = np.cumsum(S, axis=1) - 1.0
+    ks = np.arange(1, V.shape[1] + 1)
+    rho = np.sum(S - css / ks > 0, axis=1)
+    tau = css[np.arange(len(V)), rho - 1] / rho
+    return np.maximum(V - tau[:, None], 0.0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_joint_reaches_grid_exact_joint_minimum(seed):
+    # alternating u- and x-steps can stall at a partial minimum on these
+    rng = np.random.default_rng(900 + seed)
+    prog, coef = random_nonconvex_program(rng)
+    theta = float(rng.uniform(0.5, 2.0))
+    xs = grid_axis(-1.0, 1.0, 1e-2)
+    F = coef[:, 0] * xs[:, None] ** 2 + coef[:, 1] * xs[:, None] + coef[:, 2]
+    Q = project_rows_to_simplex(prog.p - F / theta)
+    U = Q - prog.p
+    joint = float(np.min(np.sum(Q * F, axis=1) + 0.5 * theta * np.sum(U * U, axis=1)))
+    spec = QuadraticPenalty(p_nu=prog.p, theta_nu=theta)
+    report = solve_joint(prog, spec, SolveConfig(
+        x_method=GridMethod(box=((-1.0, 1.0),), resolution=1e-2)))
+    assert report.value == pytest.approx(joint, rel=1e-9, abs=1e-12)
+
+
+def variant_cases():
+    ex21 = build_example("ex21", 100)
+    p21 = ex21.spec.p_nu
+    grid21 = GridMethod(box=ex21.box, resolution=1e-2)
+    ex22 = build_example("ex22", 1000)
+    ex23 = build_example("ex23", 100)
+    return [
+        ("exact", ex21.perturbed, ExactIndicator(), SolveConfig(x_method=grid21)),
+        ("quadratic", ex21.perturbed, ex21.spec, SolveConfig(x_method=grid21)),
+        ("kl", ex21.perturbed, PhiDivergencePenalty(p_nu=p21, theta_nu=0.1,
+                                                   family=FAMILIES["kl"]),
+         SolveConfig(x_method=grid21)),
+        ("l1", ex21.perturbed, L1Penalty(p_nu=p21, theta=0.1),
+         SolveConfig(x_method=grid21)),
+        ("composite", ex22.perturbed, ex22.spec,
+         SolveConfig(x_method=GridMethod(box=ex22.box, resolution=5e-2))),
+        ("support", ex23.perturbed, ex23.spec,
+         SolveConfig(x_method=GridMethod(box=ex23.box, resolution=1e-2),
+                     v_box=ex23.v_box, v_resolution=ex23.v_resolution)),
+    ]
+
+
+def test_solve_joint_value_is_relaxation_at_reported_point():
+    kinds = set()
+    for name, prog, spec, config in variant_cases():
+        report = solve_joint(prog, spec, config)
+        if isinstance(spec, ExactIndicator):
+            expect = eval_exact(prog, report.u_final, report.x_final)
+        elif isinstance(spec, SupportPerturbation):
+            expect = eval_approx(spec, prog, PerturbationPoint(
+                report.u_final, report.v_final), report.x_final)
+        else:
+            expect = eval_approx(spec, prog, report.u_final, report.x_final)
+        assert np.isfinite(report.value), name
+        assert report.value == pytest.approx(expect, rel=1e-12, abs=1e-12), name
+        if not isinstance(spec, SupportPerturbation):
+            assert report.trace == [report.value] and report.iterations == 1, name
+        kinds.add(type(spec))
+    assert len(kinds) == 6
 
 
 def test_solve_joint_bit_reproducible():
@@ -305,8 +413,6 @@ def test_solve_matches_oracle_on_convex_instance():
 
 def test_solve_config_validation():
     method = GridMethod(box=((0.0, 1.0),), resolution=1e-2)
-    with pytest.raises(ValueError):
-        SolveConfig(x_method=method, u_tolerance=0.0)
     with pytest.raises(ValueError):
         SolveConfig(x_method=method, max_outer_iters=0)
     with pytest.raises(ValueError):
