@@ -12,7 +12,7 @@ import numpy as np
 from .extreal import INF, StochasticProgram, check_simplex
 from .rockafellian import QuadraticPenalty
 from .simplex import normal_cone_distance, sample_empirical
-from .solver import grid_points
+from .solver import _grid_array
 
 THETA_CAP = 1e12
 
@@ -62,22 +62,16 @@ def rate_constants(program: StochasticProgram, rho: float, epsilon: float,
         raise ValueError("rho and resolution must be positive")
     if not 0.0 <= epsilon <= 2.0 * rho:
         raise ValueError("epsilon must lie in [0, 2 rho]")
-    n = program.n
-    box = [(-rho, rho)] * n
-    inf_f0 = INF
-    inf_fi = np.full(program.s, INF)
-    for x in grid_points(box, resolution):
-        if float(np.linalg.norm(x)) > rho + 1e-12:
-            continue
-        v0 = program.f0(x)
-        if v0 < inf_f0:
-            inf_f0 = v0
-        if v0 == INF:
-            continue
-        for i, f in enumerate(program.scenarios):
-            vi = f(x)
-            if vi < inf_fi[i]:
-                inf_fi[i] = vi
+    xs = _grid_array([(-rho, rho)] * program.n, resolution)
+    xs = xs[np.linalg.norm(xs, axis=1) <= rho + 1e-12]
+
+    def low(values: np.ndarray) -> float:
+        return float(np.min(values[~np.isnan(values)], initial=INF))
+
+    f0 = program.f0.tabulate(xs)
+    inf_f0 = low(f0)
+    dom = xs[f0 != INF]
+    inf_fi = [low(f.tabulate(dom)) for f in program.scenarios]
     if inf_f0 == INF:
         raise ValueError("f0 is infinite on the whole ball grid")
     lows = [inf_f0] + [v for v in inf_fi if v < INF]

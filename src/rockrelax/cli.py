@@ -150,8 +150,8 @@ def _bundle_for(plan: ExperimentPlan, nu: int) -> ExampleBundle:
                          perturbed=perturbed, spec=spec, box=defn.box)
 
 
-def _solve_nu(plan: ExperimentPlan, nu: int) -> List[RowResult]:
-    bundle = _bundle_for(plan, nu)
+def _solve_nu(plan: ExperimentPlan, bundle: ExampleBundle) -> List[RowResult]:
+    nu = bundle.nu
     method = GridMethod(box=bundle.box, resolution=plan.resolution)
     config = SolveConfig(x_method=method, v_box=bundle.v_box,
                          v_resolution=bundle.v_resolution)
@@ -272,14 +272,16 @@ def run(plan: ExperimentPlan) -> int:
         except ValueError:
             print(f"ignoring non-integer ROCKRELAX_THREADS={env!r}",
                   file=sys.stderr)
+    # every scale's instance is built, and its config checked, before any solve
+    bundles = [_bundle_for(plan, nu) for nu in plan.nus]
     results: List[Optional[List[RowResult]]] = [None] * len(plan.nus)
     if threads == 1:
-        for i, nu in enumerate(plan.nus):
-            results[i] = _solve_nu(plan, nu)
+        for i, bundle in enumerate(bundles):
+            results[i] = _solve_nu(plan, bundle)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_solve_nu, plan, nu): i
-                       for i, nu in enumerate(plan.nus)}
+            futures = {pool.submit(_solve_nu, plan, bundle): i
+                       for i, bundle in enumerate(bundles)}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     rows = [r for chunk in results for r in chunk]

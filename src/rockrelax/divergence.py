@@ -20,15 +20,16 @@ from .extreal import INF, ext_add, ext_mul
 class PhiFamily:
     """Convex Phi with Phi(1) = 0 and a unique minimizer at 1.
 
-    ``dphi_inv`` inverts the derivative of Phi on (0, inf); the reweighting
-    step bisects on it. Only the variational family, whose Phi' is a step,
-    leaves it None: its reweighting is the l1 one.
+    ``dphi_inv`` inverts the derivative of Phi on (0, inf), elementwise on
+    arrays, with +inf beyond the range of Phi'; the reweighting step bisects
+    on it for many cost rows at once. Only the variational family, whose
+    Phi' is a step, leaves it None: its reweighting is the l1 one.
     """
 
     tag: str
     phi: Callable[[float], float]
     limit_slope: float
-    dphi_inv: Optional[Callable[[float], float]] = None
+    dphi_inv: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _kl(t: float) -> float:
@@ -49,11 +50,19 @@ def _jdiv(t: float) -> float:
     return (t - 1.0) * math.log(t)
 
 
-def _jdiv_dphi_inv(z: float) -> float:
+def _jdiv_dphi_inv(z):
     # Phi'(t) = log t + 1 - 1/t = z; with t = 1/w this is w + log w = 1 - z,
     # solved by the Wright omega function (real on the real line)
-    w = float(np.real(wrightomega(1.0 - z)))
-    return INF if w == 0.0 else 1.0 / w
+    w = np.real(wrightomega(1.0 - np.asarray(z, dtype=float)))
+    with np.errstate(divide="ignore"):
+        return 1.0 / w
+
+
+def _below_one(z, fn):
+    """fn(z) where z < 1, +inf elsewhere (Phi' never reaches 1 there)."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(z < 1.0, fn(z), INF)
 
 
 def _chi2(t: float) -> float:
@@ -76,17 +85,19 @@ def _hellinger(t: float) -> float:
 
 FAMILIES = {
     "kl": PhiFamily("kl", _kl, INF,
-                    dphi_inv=lambda z: math.exp(min(z, 700.0))),
+                    dphi_inv=lambda z: np.exp(np.minimum(z, 700.0))),
     "burg": PhiFamily("burg", _burg, 1.0,
-                      dphi_inv=lambda z: 1.0 / (1.0 - z) if z < 1.0 else INF),
+                      dphi_inv=lambda z: _below_one(z, lambda w: 1.0 / (1.0 - w))),
     "j": PhiFamily("j", _jdiv, INF, dphi_inv=_jdiv_dphi_inv),
     "chi2": PhiFamily("chi2", _chi2, INF,
-                      dphi_inv=lambda z: max(0.0, 1.0 + z / 2.0)),
+                      dphi_inv=lambda z: np.maximum(0.0, 1.0 + np.asarray(z) / 2.0)),
     "mod_chi2": PhiFamily("mod_chi2", _mod_chi2, 1.0,
-                          dphi_inv=lambda z: 1.0 / math.sqrt(1.0 - z) if z < 1.0 else INF),
+                          dphi_inv=lambda z: _below_one(
+                              z, lambda w: 1.0 / np.sqrt(1.0 - w))),
     "variational": PhiFamily("variational", _variational, 1.0),
     "hellinger": PhiFamily("hellinger", _hellinger, 1.0,
-                           dphi_inv=lambda z: 1.0 / (1.0 - z) ** 2 if z < 1.0 else INF),
+                           dphi_inv=lambda z: _below_one(
+                               z, lambda w: 1.0 / (1.0 - w) ** 2)),
 }
 
 
@@ -116,6 +127,21 @@ def phi_divergence(family: PhiFamily, q, q_base) -> float:
         else:
             term = ext_mul(bi, phi_eval(family, qi / bi))
         total = ext_add(total, term)
+    return total
+
+
+def phi_divergence_rows(family: PhiFamily, Q: np.ndarray, q_base: np.ndarray
+                        ) -> np.ndarray:
+    """``phi_divergence`` of each row of Q (entries >= 0) from q_base, the
+    terms added in order; Phi itself is called once per entry."""
+    pos = q_base > 0.0
+    with np.errstate(invalid="ignore"):
+        terms = np.where(Q == 0.0, 0.0, Q * family.limit_slope)
+    terms[:, pos] = q_base[pos] * np.vectorize(family.phi, otypes=[float])(
+        Q[:, pos] / q_base[pos])
+    total = np.zeros(len(Q))
+    for i in range(Q.shape[1]):
+        total += terms[:, i]
     return total
 
 

@@ -64,18 +64,33 @@ class ScenarioFunction:
     ``gradient`` is only trusted on points where ``gradient_domain`` (if
     given) is true; the model permits discontinuous scenario costs, so
     differentiability is declared by the caller, never inferred.
+
+    ``evaluate_batch`` optionally maps a (k, n) array of decisions to the k
+    values ``evaluate`` gives at its rows, bit for bit; grid solves and
+    oracles then fill whole cost columns with one call instead of k.
     """
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth: bool = False
     gradient_domain: Optional[Callable[[np.ndarray], bool]] = None
+    evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> float:
         val = float(self.evaluate(np.atleast_1d(np.asarray(x, dtype=float))))
         if val == -INF:
             raise ImproperFunctionError("scenario function returned -inf")
         return val
+
+    def tabulate(self, X: np.ndarray) -> np.ndarray:
+        """The values at each row of X: one ``evaluate_batch`` call if
+        declared, else one call per row."""
+        if self.evaluate_batch is None:
+            return np.fromiter((self(x) for x in X), dtype=float, count=len(X))
+        vals = np.asarray(self.evaluate_batch(X), dtype=float).reshape(len(X))
+        if np.any(vals == -INF):
+            raise ImproperFunctionError("scenario function returned -inf")
+        return vals
 
     def grad(self, x) -> np.ndarray:
         if self.gradient is None:
@@ -94,17 +109,37 @@ class ScenarioFunction:
 
 @dataclass(frozen=True)
 class CompositeBlock:
-    """Constraint composition h(sum_i p_i G_i(x)) with h an upper-bound indicator."""
+    """Constraint composition h(sum_i p_i G_i(x)) with h an upper-bound indicator.
+
+    ``G_batch``, if given, holds one map per scenario from a (k, n) array of
+    decisions to the (k, m) values of the matching ``G`` at its rows.
+    """
 
     G: Sequence[Callable[[np.ndarray], np.ndarray]]
     b: np.ndarray
     m: int
+    G_batch: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None
 
     def expectation(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.m)
         for w, g in zip(weights, self.G):
             if w != 0.0:
                 out += w * np.atleast_1d(np.asarray(g(x), dtype=float))
+        return out
+
+    def expectation_table(self, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``expectation`` at each row of X, shape (k, m): the weighted maps
+        are added in scenario order and zero weights skip their map."""
+        out = np.zeros((len(X), self.m))
+        for i, (w, g) in enumerate(zip(weights, self.G)):
+            if w == 0.0:
+                continue
+            if self.G_batch is not None:
+                col = np.asarray(self.G_batch[i](X), dtype=float)
+            else:
+                col = np.array([np.atleast_1d(np.asarray(g(x), dtype=float))
+                                for x in X])
+            out += w * col.reshape(len(X), self.m)
         return out
 
 

@@ -27,23 +27,40 @@ def heaviside(gamma: float) -> float:
     return 1.0 if gamma > HEAVISIDE_ATOL else 0.0
 
 
+def _step(gamma):
+    """``heaviside`` on an array of arguments."""
+    return np.where(gamma > HEAVISIDE_ATOL, 1.0, 0.0)
+
+
+def _rowwise(fn, **kwargs) -> ScenarioFunction:
+    """A scenario function whose evaluator takes one decision (n,) or a batch
+    (k, n) alike, so that ``evaluate_batch`` is ``evaluate`` row by row."""
+    return ScenarioFunction(evaluate=fn, evaluate_batch=fn, **kwargs)
+
+
 def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
-    """Resolve a catalog tag to an evaluator with declared gradient validity."""
+    """Resolve a catalog tag to an evaluator with declared gradient validity.
+
+    Every evaluator works on the last axis, so it serves as its own
+    ``evaluate_batch``. Inner products are ``(a * x).sum(axis=-1)``, not
+    ``a @ x``: a BLAS dot product may fuse multiply-adds, and then a batch
+    row and the same decision alone would round differently.
+    """
     if tag == "linear":
         c = np.asarray(params["c"], dtype=float)
         d = float(params.get("d", 0.0))
         if c.size != n:
             raise ValueError("linear coefficient length mismatch")
-        return ScenarioFunction(evaluate=lambda x: float(c @ x) + d,
-                                gradient=lambda x: c.copy(), smooth=True)
+        return _rowwise(lambda x: (c * x).sum(axis=-1) + d,
+                        gradient=lambda x: c.copy(), smooth=True)
     if tag == "quadratic":
         a = np.asarray(params.get("a", np.ones(n)), dtype=float)
         c = np.asarray(params.get("c", np.zeros(n)), dtype=float)
         d = float(params.get("d", 0.0))
         if a.size != n or c.size != n:
             raise ValueError("quadratic coefficient length mismatch")
-        return ScenarioFunction(
-            evaluate=lambda x: float(a @ (x * x)) + float(c @ x) + d,
+        return _rowwise(
+            lambda x: (a * (x * x)).sum(axis=-1) + (c * x).sum(axis=-1) + d,
             gradient=lambda x: 2.0 * a * x + c, smooth=True)
     if tag == "hinge":
         feat = np.asarray(params["feature"], dtype=float)
@@ -52,25 +69,25 @@ def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
             raise ValueError("hinge feature length must be n - 1")
 
         def margin(x):
-            return label * (float(feat @ x[:-1]) + float(x[-1]))
+            return label * ((feat * x[..., :-1]).sum(axis=-1) + x[..., -1])
 
-        return ScenarioFunction(
-            evaluate=lambda x: max(0.0, 1.0 - margin(x)),
+        return _rowwise(
+            lambda x: np.maximum(0.0, 1.0 - margin(x)),
             gradient=lambda x: (np.zeros(n) if margin(x) > 1.0
                                 else -label * np.append(feat, 1.0)),
             gradient_domain=lambda x: abs(1.0 - margin(x)) > 1e-12)
     if tag == "heaviside-composite":
         xi = float(params["xi"])
-        return ScenarioFunction(evaluate=lambda x: heaviside(xi + float(x[0])))
+        return _rowwise(lambda x: _step(xi + x[..., 0]))
     if tag == "indicator-box":
         lo = np.asarray(params["lo"], dtype=float)
         hi = np.asarray(params["hi"], dtype=float)
 
         def indicator(x):
-            inside = np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
-            return 0.0 if inside else INF
+            inside = np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=-1)
+            return np.where(inside, 0.0, INF)
 
-        return ScenarioFunction(evaluate=indicator)
+        return _rowwise(indicator)
     if tag == "cross-entropy":
         feat = np.asarray(params["feature"], dtype=float)
         label = float(params["label"])
@@ -78,14 +95,14 @@ def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
             raise ValueError("cross-entropy feature length mismatch")
 
         def ce(x):
-            z = -label * float(feat @ x)
-            return math.log1p(math.exp(z)) if z < 30 else z
+            z = -label * (feat * x).sum(axis=-1)
+            return np.where(z < 30, np.log1p(np.exp(np.minimum(z, 30.0))), z)
 
         def ce_grad(x):
             z = -label * float(feat @ x)
             return -label * feat / (1.0 + math.exp(-z))
 
-        return ScenarioFunction(evaluate=ce, gradient=ce_grad, smooth=True)
+        return _rowwise(ce, gradient=ce_grad, smooth=True)
     raise ValueError(f"unknown catalog tag {tag!r}")
 
 
@@ -111,7 +128,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "b": {"type": "array", "items": {"type": "number"}},
                 "G": {"type": "array", "items": {"$ref": "#/$defs/fn"}},
-                "zbar_mode": {"enum": ["perturbed", "frozen"]},
             },
         },
         "perturbation": {
@@ -182,21 +198,24 @@ def build_from_config(config: Dict[str, Any]) -> InstanceDef:
             f0 = make_scenario(config["f0"]["tag"],
                                config["f0"].get("params", {}), n)
         else:
-            f0 = ScenarioFunction(evaluate=lambda x: 0.0,
-                                  gradient=lambda x: np.zeros(n), smooth=True)
+            f0 = _rowwise(lambda x: np.zeros(x.shape[:-1]),
+                          gradient=lambda x: np.zeros(n), smooth=True)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config field scenarios: {exc}") from None
     composite = None
     if "composite" in config:
         comp = config["composite"]
         b = np.asarray(comp["b"], dtype=float)
+        if b.size != 1:
+            raise ConfigError("config field composite/b: each map in G is one "
+                              "catalog function, so b needs exactly one entry")
         gs = [make_scenario(fn["tag"], fn.get("params", {}), n)
               for fn in comp["G"]]
         if len(gs) != s:
             raise ConfigError("config field composite/G: need one map per scenario")
         composite = CompositeBlock(
             G=[(lambda x, g=g: np.array([g(x)])) for g in gs],
-            b=b, m=b.size)
+            b=b, m=1, G_batch=[(lambda X, g=g: g.tabulate(X)[:, None]) for g in gs])
     box = tuple((float(lo), float(hi)) for lo, hi in config["box"])
     return InstanceDef(name=config["name"], n=n, s=s, f0=f0,
                        scenarios=scenarios, scenario_tags=tags, p=p, box=box,
@@ -221,8 +240,15 @@ def perturbed_weights(defn: InstanceDef, nu: int, seed: int = 0) -> np.ndarray:
     if kind == "empirical":
         return sample_empirical(defn.p, nu, seed=seed)
     if kind == "explicit":
-        table = params["weights"]
-        return check_simplex(np.asarray(table[str(nu)], dtype=float))
+        table = params.get("weights", {})
+        if str(nu) not in table:
+            raise ConfigError("config field perturbation/params/weights: "
+                              f"no weights for nu = {nu}")
+        try:
+            return check_simplex(np.asarray(table[str(nu)], dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"config field perturbation/params/weights/{nu}: "
+                              f"{exc}") from None
     raise ConfigError(f"unknown perturbation kind {kind!r}")
 
 
@@ -258,9 +284,8 @@ def _box_indicator(lo: float, hi: float) -> ScenarioFunction:
 def _build_ex21(nu: int) -> ExampleBundle:
     # one decision on [0, 1]; scenario costs xi*x + (1 - x)/2 on support {0, nu}
     def cost(xi: float) -> ScenarioFunction:
-        return ScenarioFunction(
-            evaluate=lambda x, xi=xi: xi * float(x[0]) + 0.5 * (1.0 - float(x[0])),
-            gradient=lambda x, xi=xi: np.array([xi - 0.5]), smooth=True)
+        return _rowwise(lambda x: xi * x[..., 0] + 0.5 * (1.0 - x[..., 0]),
+                        gradient=lambda x: np.array([xi - 0.5]), smooth=True)
 
     f0 = _box_indicator(0.0, 1.0)
     scenarios = [cost(0.0), cost(float(nu))]
@@ -280,18 +305,18 @@ def _build_ex22(nu: int, zbar_mode: str = "perturbed",
     points = [(-1.0, -1.0, 0.0), (1.0, 1.0, 1.0), (float(nu), 1.0, 1.0)]
     p = np.array([0.5, 0.5, 0.0])
     p_nu = np.array([0.5, 0.5 - 1.0 / nu, 1.0 / nu])
-    f0 = ScenarioFunction(evaluate=lambda x: float(x[0]) ** 2,
-                          gradient=lambda x: np.array([2.0 * x[0], 0.0]),
-                          smooth=True)
+    f0 = _rowwise(lambda x: x[..., 0] ** 2,
+                  gradient=lambda x: np.array([2.0 * x[0], 0.0]), smooth=True)
     scenarios = [make_scenario("hinge", {"feature": [xv], "label": yv}, 2)
                  for xv, yv, _ in points]
 
     def block_for(weights: np.ndarray) -> CompositeBlock:
         zbar = float(sum(w * z for w, (_, _, z) in zip(weights, points)))
-        gs = [(lambda x, xv=xv, z=z: np.array(
-            [(z - zbar) * (xv * float(x[0]) + float(x[1]))]))
-            for xv, _, z in points]
-        return CompositeBlock(G=gs, b=np.array([0.25]), m=1)
+        # each map takes one decision or a (k, 2) batch of them
+        gs = [(lambda x, xv=xv, z=z:
+               ((z - zbar) * (xv * x[..., 0] + x[..., 1]))[..., None])
+              for xv, _, z in points]
+        return CompositeBlock(G=gs, b=np.array([0.25]), m=1, G_batch=gs)
 
     actual = StochasticProgram(f0=f0, scenarios=scenarios, p=p, n=2,
                                composite=block_for(p))
@@ -306,18 +331,17 @@ def _build_ex22(nu: int, zbar_mode: str = "perturbed",
 def _build_ex23(nu: int) -> ExampleBundle:
     # step-function costs H(xi + x) with quadratic pull toward x = 1
     def f0_eval(x):
-        v = float(x[0])
-        if v < -1e-12 or v > 1.0 + 1e-12:
-            return INF
-        return 0.25 * (v - 1.0) ** 2
+        v = x[..., 0]
+        return np.where((v < -1e-12) | (v > 1.0 + 1e-12), INF,
+                        0.25 * (v - 1.0) ** 2)
 
-    f0 = ScenarioFunction(evaluate=f0_eval)
+    f0 = _rowwise(f0_eval)
 
     def generator(xi: np.ndarray, x: np.ndarray) -> float:
         return heaviside(float(xi[0]) + float(x[0]))
 
     def cost(xi: float) -> ScenarioFunction:
-        return ScenarioFunction(evaluate=lambda x, xi=xi: heaviside(xi + float(x[0])))
+        return _rowwise(lambda x: _step(xi + x[..., 0]))
 
     p = np.array([0.5, 0.5])
     xi_actual = np.array([[0.0], [1.0]])

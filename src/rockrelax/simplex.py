@@ -10,21 +10,29 @@ from .extreal import check_simplex
 
 
 def project_to_simplex(z) -> np.ndarray:
-    """Euclidean projection onto {q >= 0, sum q = 1} by sort-and-threshold.
-
-    O(s log s), exact up to floating error: q_i = max(0, z_i - tau) with the
-    threshold tau chosen so the result sums to one.
-    """
+    """Euclidean projection onto {q >= 0, sum q = 1} by sort-and-threshold."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.size == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, z.size + 1)
-    cond = u - css / ks > 0
-    k = int(np.nonzero(cond)[0][-1]) + 1
-    tau = css[k - 1] / k
-    return np.maximum(z - tau, 0.0)
+    return project_rows_to_simplex(z[None, :])[0]
+
+
+def project_rows_to_simplex(Z) -> np.ndarray:
+    """Each row of Z projected onto the simplex by sort-and-threshold.
+
+    O(s log s) per row, exact up to floating error: q_i = max(0, z_i - tau)
+    with the row's threshold tau chosen so the row sums to one (Duchi et al.
+    2008). An entry of -inf gets weight 0, as if it were left out; every row
+    needs a finite entry.
+    """
+    Z = np.asarray(Z, dtype=float)
+    u = np.sort(Z, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) past the finite entries
+        cond = u - css / np.arange(1, Z.shape[1] + 1) > 0
+    k = Z.shape[1] - np.argmax(cond[:, ::-1], axis=1)  # the last True, plus 1
+    tau = css[np.arange(len(Z)), k - 1] / k
+    return np.maximum(Z - tau[:, None], 0.0)
 
 
 def projection_threshold(z, q) -> float:

@@ -1,10 +1,18 @@
 """Joint minimization of the relaxed objective and brute-force grid oracles.
 
 Each simplex variant has an exact reweighting step (a simplex projection, a
-dual bisection, or the l1 closed form), and the composite variant a
-closed-form slack step, so the solver minimizes the reduced objective
-min_u f(u, x) with one pluggable decision step. Only the support variant
-alternates. Grid oracles provide ground truth on small instances.
+dual bisection, or the l1 closed form) that takes many cost rows at once,
+and the composite variant a closed-form slack step, so the solver minimizes
+the reduced objective r(x) = min_u f(u, x) over the decision alone.
+
+On a grid the solve is tabulate-then-argmin: f0 and each scenario cost are
+evaluated once per grid decision (the costs only where f0 is finite), every
+row's u-step is taken with array operations, and the first smallest r wins.
+A ``ScenarioFunction`` that declares ``evaluate_batch`` fills its column
+with one call; one without it (a plain user callable) is called once per
+decision, with the same result. Projected gradient takes the one-row u-step
+at each point it evaluates. Only the support variant alternates. Grid
+oracles provide ground truth on small instances.
 """
 from __future__ import annotations
 
@@ -16,13 +24,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .extreal import INF, StochasticProgram, ext_add, ext_mul, weighted_objective
+from .divergence import phi_divergence_rows
+from .extreal import (INF, ScenarioFunction, StochasticProgram, ext_add,
+                      ext_mul, weighted_objective)
 from .rockafellian import (CompositePenalty, ExactIndicator, L1Penalty,
                            PerturbationPoint, PhiDivergencePenalty,
                            QuadraticPenalty, RockafellianSpec,
                            SupportPerturbation, _in_simplex, eval_approx,
                            eval_exact, support_cost, weight_penalty)
-from .simplex import project_to_simplex
+from .simplex import project_rows_to_simplex
 
 MAX_GRID_EVALS = 10 ** 8
 
@@ -93,15 +103,24 @@ def grid_axis(lo: float, hi: float, resolution: float) -> np.ndarray:
     return np.linspace(lo, hi, count + 1)
 
 
-def grid_points(box: Sequence[Tuple[float, float]], resolution: float):
-    """Lexicographically ordered grid point iterator over a box."""
+def _grid_axes(box: Sequence[Tuple[float, float]], resolution: float
+               ) -> List[np.ndarray]:
     axes = [grid_axis(lo, hi, resolution) for lo, hi in box]
-    total = 1
-    for a in axes:
-        total *= a.size
+    total = math.prod(a.size for a in axes)
     if total > MAX_GRID_EVALS:
         raise ValueError(f"grid of {total} points exceeds the evaluation cap")
-    return (np.array(pt) for pt in itertools.product(*axes))
+    return axes
+
+
+def grid_points(box: Sequence[Tuple[float, float]], resolution: float):
+    """Lexicographically ordered grid point iterator over a box."""
+    return (np.array(pt) for pt in itertools.product(*_grid_axes(box, resolution)))
+
+
+def _grid_array(box, resolution: float) -> np.ndarray:
+    """The decision grid as one (points, dimension) array, in grid_points order."""
+    mesh = np.meshgrid(*_grid_axes(box, resolution), indexing="ij")
+    return np.stack([axis.ravel() for axis in mesh], axis=1)
 
 
 def simplex_grid(s: int, resolution: float, center: Optional[np.ndarray] = None,
@@ -139,12 +158,11 @@ def simplex_grid(s: int, resolution: float, center: Optional[np.ndarray] = None,
     return out
 
 
-def _face_split(costs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    costs = np.atleast_1d(np.asarray(costs, dtype=float))
-    if np.any(np.isneginf(costs)) or np.any(np.isnan(costs)):
+def _checked_costs(costs) -> np.ndarray:
+    costs = np.asarray(costs, dtype=float)
+    if not (costs > -INF).all():  # false at -inf and at nan
         raise ValueError("costs must avoid -inf and nan")
-    finite = np.isfinite(costs)
-    return costs, finite
+    return costs
 
 
 def u_subproblem_value(spec: RockafellianSpec, costs, y_nu, u) -> float:
@@ -153,7 +171,7 @@ def u_subproblem_value(spec: RockafellianSpec, costs, y_nu, u) -> float:
     Sum of (p + u)_i costs_i plus the variant's penalty minus <y, u>;
     infinite costs on zero-weight coordinates contribute nothing.
     """
-    costs, _ = _face_split(costs)
+    costs = _checked_costs(np.atleast_1d(costs))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     y = np.zeros(u.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
     q = spec.p_nu + u
@@ -164,105 +182,145 @@ def u_subproblem_value(spec: RockafellianSpec, costs, y_nu, u) -> float:
     return ext_add(ext_add(total, pen), -float(y @ u))
 
 
-def _quadratic_u_step(spec, costs: np.ndarray, y: np.ndarray, finite: np.ndarray,
-                      theta: float) -> np.ndarray:
-    p = spec.p_nu
-    q = np.zeros(p.size)
-    c = costs[finite] - y[finite]
-    if theta == 0.0:
-        j = int(np.argmin(c))
-        q[np.nonzero(finite)[0][j]] = 1.0
-        return q
-    q[finite] = project_to_simplex(p[finite] - c / theta)
-    return q
-
-
-def _phi_u_step(spec: PhiDivergencePenalty, costs: np.ndarray, y: np.ndarray,
-                finite: np.ndarray) -> np.ndarray:
-    p = spec.p_nu
-    theta = spec.theta_nu
-    fam = spec.family
-    idx = np.nonzero(finite)[0]
-    c = costs[idx] - y[idx]
-    psub = p[idx]
-    q = np.zeros(p.size)
-    if theta == 0.0:
-        q[idx[int(np.argmin(c))]] = 1.0
-        return q
-
-    if fam.tag == "variational":
-        # sum p_i |q_i/p_i - 1| = |u|_1 (a zero base weight adds q_i = |u_i|),
-        # so this subproblem is exactly the l1 one at strength theta
-        return _l1_u_step(p, costs, y, finite, theta)
+def _phi_rows(fam, theta: float, p: np.ndarray, c: np.ndarray,
+              face: np.ndarray) -> np.ndarray:
+    """The divergence dual (Ben-Tal et al. 2013) on every row of c at once:
+    q_i = p_i (Phi')^-1((mu - c_i) / theta), with one multiplier mu per row
+    found by bisection so that the row sums to one."""
     if fam.dphi_inv is None:
         raise ValueError(f"{fam.tag}: reweighting needs the inverse of Phi'")
-
+    rows = np.arange(len(c))
+    pos = face & (p > 0.0)
     # u_step keeps zero base weights on the face only for a finite
     # limit_slope; there mass on them costs c_i + theta * slope linearly,
-    # so the multiplier mu cannot exceed the cheapest such cost
-    pos = psub > 0.0
-    zero_cost = c[~pos] + theta * fam.limit_slope
-    cpos, ppos = c[pos], psub[pos]
+    # so a row's multiplier mu cannot exceed its cheapest such cost
+    zero_cost = np.where(face & ~pos, c + theta * fam.limit_slope, INF)
+    cap = zero_cost.min(axis=1)
 
-    def mass(mu: float) -> float:
-        total = 0.0
-        for ci, pi in zip(cpos, ppos):
-            t = fam.dphi_inv((mu - ci) / theta)
-            if t == INF:
-                return INF
-            total += pi * t
-        return total
+    def mass(mu: np.ndarray, cost: np.ndarray, on: np.ndarray) -> np.ndarray:
+        return np.where(on, p * fam.dphi_inv((mu[:, None] - cost) / theta),
+                        0.0).sum(axis=1)
 
-    capped = zero_cost.size > 0 and mass(float(zero_cost.min())) < 1.0
-    if capped:
-        mu = float(zero_cost.min())
-    else:
-        lo, hi = float(cpos.min()), float(cpos.max())
-        if mass(hi) < 1.0:
-            span = max(1.0, hi - lo)
-            while mass(hi) < 1.0:
-                hi += span
-                span *= 2.0
-        if zero_cost.size:
-            hi = min(hi, float(zero_cost.min()))
+    # (Phi')^-1 overflows far out, and the entries off pos are dropped
+    with np.errstate(all="ignore"):
+        capped = cap < INF
+        capped[capped] = mass(cap[capped], c[capped], pos[capped]) < 1.0
+        mu = cap.copy()
+        at = rows[~capped]  # the rows still bisecting, their costs and masks
+        cost, on = c[at], pos[at]
+        lo = np.where(on, cost, INF).min(axis=1)
+        hi = np.where(on, cost, -INF).max(axis=1)
+        span = np.maximum(1.0, hi - lo)
+        short = np.flatnonzero(mass(hi, cost, on) < 1.0)
+        while short.size:
+            hi[short] += span[short]
+            span[short] *= 2.0
+            short = short[mass(hi[short], cost[short], on[short]) < 1.0]
+        hi = np.minimum(hi, cap[at])
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mass(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15 * max(1.0, abs(hi)):
+            if not at.size:
                 break
-        mu = 0.5 * (lo + hi)
-    t = np.array([min(fam.dphi_inv((mu - ci) / theta), 1.0 / pi)
-                  for ci, pi in zip(cpos, ppos)])
-    qsub = np.maximum(ppos * t, 0.0)
-    if capped:
-        # the positive weights fall short of 1 at the cap; the rest goes
-        # to the first cheapest zero-weight scenario
-        q[idx[pos]] = qsub
-        q[idx[~pos][int(np.argmin(zero_cost))]] = 1.0 - qsub.sum()
-        return q
-    total = qsub.sum()
-    if total <= 0:
+            mid = 0.5 * (lo + hi)
+            low = mass(mid, cost, on) < 1.0
+            lo = np.where(low, mid, lo)
+            hi = np.where(low, hi, mid)
+            done = hi - lo < 1e-15 * np.maximum(1.0, np.abs(hi))
+            if done.any():
+                mu[at[done]] = 0.5 * (lo[done] + hi[done])
+                keep = ~done
+                at, cost, on, lo, hi = at[keep], cost[keep], on[keep], lo[keep], hi[keep]
+        mu[at] = 0.5 * (lo + hi)
+        t = np.minimum(fam.dphi_inv((mu[:, None] - c) / theta), 1.0 / p)
+        Q = np.where(pos, np.maximum(p * t, 0.0), 0.0)
+    total = Q.sum(axis=1)
+    if np.any(total[~capped] <= 0):
         raise ArithmeticError("divergence dual bisection collapsed")
-    q[idx[pos]] = qsub / total
-    return q
+    Q[~capped] /= total[~capped, None]
+    # a capped row's positive weights fall short of 1; the rest goes to its
+    # first cheapest zero-weight scenario
+    Q[rows[capped], np.argmin(zero_cost[capped], axis=1)] = 1.0 - total[capped]
+    return Q
 
 
-def _l1_u_step(p: np.ndarray, costs: np.ndarray, y: np.ndarray,
-               finite: np.ndarray, theta: float) -> np.ndarray:
+def _l1_rows(p: np.ndarray, c: np.ndarray, face: np.ndarray,
+             theta: float) -> np.ndarray:
     """Moving a unit of weight from scenario i to j changes the objective by
     c_j - c_i + 2 theta, so the minimizer keeps p on the finite face except
     that every scenario costing more than min c + 2 theta hands its weight to
     the first cheapest one, which also receives the weight of the scenarios
     off the face. Ties at exactly 2 theta stay put."""
-    c = np.where(finite, costs - y, INF)
-    j = int(np.argmin(c))
-    move = ~finite | (c > c[j] + 2.0 * theta)
-    q = np.where(move, 0.0, p)
-    q[j] += p[move].sum()
-    return q
+    rows = np.arange(len(c))
+    j = np.argmin(c, axis=1)
+    move = ~face | (c > c[rows, j][:, None] + 2.0 * theta)
+    Q = np.where(move, 0.0, p)
+    Q[rows, j] += np.where(move, p, 0.0).sum(axis=1)
+    return Q
+
+
+def _penalty_rows(spec: RockafellianSpec, U: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``weight_penalty`` at each row of U (weights Q); its numpy sums may
+    round differently from the scalar one in the last place."""
+    if isinstance(spec, L1Penalty):
+        return spec.theta * np.abs(U).sum(axis=1)
+    if isinstance(spec, PhiDivergencePenalty):
+        if spec.theta_nu == 0.0:
+            return np.zeros(len(U))  # 0 * inf = 0
+        return spec.theta_nu * phi_divergence_rows(spec.family, Q, spec.p_nu)
+    return 0.5 * spec.theta_nu * (U * U).sum(axis=1)
+
+
+def u_step_rows(spec: RockafellianSpec, C, y_nu=None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``u_step`` at every row of the (k, s) cost array C: the minimizers
+    (k, s) and the u-subproblem values (k,), with array operations.
+
+    The quadratic step projects each row by sort-and-threshold, the l1 and
+    variational steps are closed forms, and the divergence steps run one
+    dual bisection for all rows together. Each row's result does not depend
+    on the other rows.
+    """
+    if not isinstance(spec, (QuadraticPenalty, SupportPerturbation,
+                             PhiDivergencePenalty, L1Penalty)):
+        raise TypeError(f"{type(spec).__name__} has no simplex reweighting step")
+    C = _checked_costs(C)
+    p = spec.p_nu
+    if C.ndim != 2 or C.shape[1] != p.size:
+        raise ValueError("cost vector length mismatch")
+    y = np.zeros(p.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
+    theta = spec.theta if isinstance(spec, L1Penalty) else spec.theta_nu
+    phi = isinstance(spec, PhiDivergencePenalty)
+    face = np.isfinite(C)
+    if phi and theta > 0.0 and spec.family.limit_slope == INF:
+        # any mass on a zero base weight costs +inf under these families
+        face &= p > 0.0
+    live = face.any(axis=1)
+    if not live.all():  # a row with no scenario left: +inf at u = -p
+        U = np.tile(-p, (len(C), 1))
+        vals = np.full(len(C), INF)
+        if live.any():
+            U[live], vals[live] = u_step_rows(spec, C[live], y)
+        return U, vals
+    c = np.where(face, C - y, INF)  # +inf off the face
+    if isinstance(spec, L1Penalty) or (phi and theta > 0.0
+                                       and spec.family.tag == "variational"):
+        # sum p_i |q_i/p_i - 1| = |u|_1 (a zero base weight adds q_i = |u_i|),
+        # so the variational subproblem is exactly the l1 one at strength theta
+        Q = _l1_rows(p, c, face, theta)
+    elif theta == 0.0:
+        Q = np.zeros_like(c)
+        Q[np.arange(len(c)), np.argmin(c, axis=1)] = 1.0
+    elif phi:
+        Q = _phi_rows(spec.family, theta, p, c, face)
+    else:
+        Q = project_rows_to_simplex(p - c / theta)
+    # the value as u_subproblem_value forms it: (p + u)_i C_i added in
+    # scenario order with 0 * inf = 0, then the penalty, then -<y, u>
+    U = Q - p
+    W = p + U
+    with np.errstate(invalid="ignore"):
+        total = np.where(W == 0.0, 0.0, W * C).sum(axis=1)
+    return U, (total + _penalty_rows(spec, U, np.maximum(W, 0.0))
+               - (U * y).sum(axis=1))
 
 
 def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]:
@@ -272,31 +330,11 @@ def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]
     minimization is restricted to the face where they carry none), and so,
     for theta > 0, are zero base weights under a divergence family whose
     limit_slope is infinite; if no scenario is left the value is +inf at
-    u = -p.
+    u = -p. This is the one-row case of ``u_step_rows``.
     """
-    if isinstance(spec, (ExactIndicator, CompositePenalty)):
-        raise TypeError("this variant has no simplex reweighting step")
-    costs, finite = _face_split(np.asarray(costs, dtype=float))
-    p = spec.p_nu
-    if costs.size != p.size:
-        raise ValueError("cost vector length mismatch")
-    y = np.zeros(p.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
-    if (isinstance(spec, PhiDivergencePenalty) and spec.theta_nu > 0.0
-            and spec.family.limit_slope == INF):
-        # any mass on a zero base weight costs +inf under these families
-        finite = finite & (p > 0.0)
-    if not finite.any():
-        return -p.copy(), INF
-    if isinstance(spec, (QuadraticPenalty, SupportPerturbation)):
-        q = _quadratic_u_step(spec, costs, y, finite, spec.theta_nu)
-    elif isinstance(spec, PhiDivergencePenalty):
-        q = _phi_u_step(spec, costs, y, finite)
-    elif isinstance(spec, L1Penalty):
-        q = _l1_u_step(p, costs, y, finite, spec.theta)
-    else:
-        raise TypeError(f"unknown spec type {type(spec)!r}")
-    u = q - p
-    return u, u_subproblem_value(spec, costs, y, u)
+    U, vals = u_step_rows(
+        spec, np.atleast_1d(np.asarray(costs, dtype=float))[None, :], y_nu)
+    return U[0], float(vals[0])
 
 
 def composite_u_step(spec: CompositePenalty, expectation, bound,
@@ -360,16 +398,10 @@ def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
     projected gradient needs a gradient callable and a start point.
     """
     if isinstance(method, GridMethod):
-        best_x = None
-        best_v = INF
-        for pt in grid_points(method.box, method.resolution):
-            v = objective(pt)
-            if v < best_v:
-                best_v = v
-                best_x = pt
-        if best_x is None or best_v == INF:
-            raise InfeasibleAtResolution("no finite grid point in the box")
-        return best_x, best_v
+        xs = _grid_array(method.box, method.resolution)
+        vals = _tabulate(objective, xs)
+        ix = _grid_argmin(vals, "no finite grid point in the box")
+        return xs[ix].copy(), float(vals[ix])
 
     if isinstance(method, ProjectedGradientMethod):
         if gradient is None:
@@ -417,30 +449,16 @@ def _shifted_costs(program: StochasticProgram, spec: SupportPerturbation,
 Reduced = Callable[[np.ndarray], Tuple[float, Optional[np.ndarray]]]
 
 
-def _composite_reduced(spec: CompositePenalty, program: StochasticProgram,
-                       x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
-    """(min over u of the composite relaxation at fixed x, its minimizer);
-    the minimizer is None where the value is +inf."""
-    block = program.composite
-    base = weighted_objective(program, spec.p_nu, x)
-    if base == INF:
-        return INF, None
-    ev = block.expectation(spec.p_nu, np.atleast_1d(np.asarray(x, float)))
-    u, inner = composite_u_step(spec, ev, block.b)
-    return base + inner, u
-
-
 def _reduced_objective(spec: RockafellianSpec, program: StochasticProgram) -> Reduced:
-    """x -> (min over u of the relaxation at x, a minimizing u).
+    """x -> (min over u of the relaxation at x, a minimizing u), for the
+    anchored and simplex variants at one decision.
 
-    Every variant but the support one has an exact u-step, so this is the
-    relaxation with u eliminated; the u is None where the value is +inf.
+    These variants have an exact u-step, so this is the relaxation with u
+    eliminated; the u is None where the value is +inf.
     """
     if isinstance(spec, ExactIndicator):
         u0 = np.zeros(program.s if program.composite is None else program.composite.m)
         return lambda x: (eval_exact(program, u0, x), u0)
-    if isinstance(spec, CompositePenalty):
-        return functools.partial(_composite_reduced, spec, program)
     tilt = spec.tilt()
 
     def reduced(x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
@@ -453,15 +471,40 @@ def _reduced_objective(spec: RockafellianSpec, program: StochasticProgram) -> Re
     return reduced
 
 
+class _Remembered:
+    """A reduced objective that keeps its result at the last point evaluated
+    and at the last point kept: projected gradient asks for the gradient at
+    the point its line search has just accepted, and solve_joint for the u
+    at the final iterate, so no point takes a second u-step."""
+
+    def __init__(self, reduced: Reduced):
+        self._reduced = reduced
+        self._last: Optional[Tuple[np.ndarray, tuple]] = None
+        self._kept: Optional[Tuple[np.ndarray, tuple]] = None
+
+    def __call__(self, x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+        for memo in (self._last, self._kept):
+            if memo is not None and np.array_equal(memo[0], x):
+                return memo[1]
+        result = self._reduced(x)
+        self._last = (np.array(x, dtype=float), result)
+        return result
+
+    def keep(self, x: np.ndarray) -> Tuple[float, Optional[np.ndarray]]:
+        result = self(x)
+        self._kept = (np.array(x, dtype=float), result)
+        return result
+
+
 def _danskin_gradient(spec: RockafellianSpec, program: StochasticProgram,
-                      reduced: Reduced) -> Callable[[np.ndarray], np.ndarray]:
+                      reduced: _Remembered) -> Callable[[np.ndarray], np.ndarray]:
     """Gradient of the reduced objective: the x-gradient of the relaxation at
     the minimizing weights q* = p + u*(x), which are unique under the
     quadratic and strictly convex divergence penalties."""
 
     def grad(x: np.ndarray) -> np.ndarray:
         q = program.p if isinstance(spec, ExactIndicator) \
-            else spec.p_nu + reduced(x)[1]
+            else spec.p_nu + reduced.keep(x)[1]
         g = program.f0.grad(x)
         for qi, f in zip(q, program.scenarios):
             if qi != 0.0:
@@ -524,9 +567,7 @@ def _solve_support(program: StochasticProgram, spec: SupportPerturbation,
         u, _ = u_step(spec, _shifted_costs(program, spec, v, x), spec.tilt())
         x_values, _, v_rows = _support_grid_values(program, spec, xs, u[None, :],
                                                    v_axis)
-        ix = int(np.argmin(_nan_to_inf(x_values)))
-        if x_values[ix] == INF:
-            raise InfeasibleAtResolution("no finite point in the decision box")
+        ix = _grid_argmin(x_values, "no finite point in the decision box")
         x, v = xs[ix].copy(), v_rows[ix]
         trace.append(float(x_values[ix]))
         if trace[-1] < -1e15 or (len(trace) > 1 and
@@ -542,22 +583,29 @@ def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
     """Minimize the relaxation jointly over the perturbation and the decision.
 
     Every variant but the support one has an exact u-step, so the decision
-    step runs once, on the reduced objective min_u f(u, x), and the reported
-    u is its minimizer at the reported decision: on the grid this is the
-    grid-exact joint minimum. The support variant, whose shifts and weights
-    are coupled, alternates (see ``_solve_support``). The reported value is
-    the relaxation evaluated at the reported point.
+    step runs once, on the reduced objective r(x) = min_u f(u, x), and the
+    reported u is its minimizer at the reported decision. On the grid, r is
+    tabulated at every decision with array operations and the first
+    smallest value wins: the grid-exact joint minimum. The support variant,
+    whose shifts and weights are coupled, alternates (see
+    ``_solve_support``). The reported value is the relaxation evaluated at
+    the reported point.
     """
     if isinstance(spec, SupportPerturbation):
         return _solve_support(program, spec, config, oracle_value)
     method = config.x_method
-    if isinstance(spec, CompositePenalty) and not isinstance(method, GridMethod):
-        raise ValueError("the composite variant requires the grid method")
-    reduced = _reduced_objective(spec, program)
-    grad = _danskin_gradient(spec, program, reduced) \
-        if isinstance(method, ProjectedGradientMethod) else None
-    x, _ = x_step(lambda z: reduced(z)[0], method, gradient=grad)
-    u = reduced(x)[1]
+    if isinstance(method, GridMethod):
+        xs = _grid_array(method.box, method.resolution)
+        x_values, u_rows = _reduced_grid_values(program, spec, xs)
+        ix = _grid_argmin(x_values, "no finite grid point in the box")
+        x, u = xs[ix].copy(), u_rows[ix].copy()
+    else:
+        if isinstance(spec, CompositePenalty):
+            raise ValueError("the composite variant requires the grid method")
+        reduced = _Remembered(_reduced_objective(spec, program))
+        x, _ = x_step(lambda z: reduced(z)[0], method,
+                      gradient=_danskin_gradient(spec, program, reduced))
+        u = reduced(x)[1]
     value = eval_exact(program, u, x) if isinstance(spec, ExactIndicator) \
         else eval_approx(spec, program, u, x)
     return _report(spec, program, u, x, value, [value], oracle_value)
@@ -572,21 +620,21 @@ class OracleResult:
     v: Optional[np.ndarray] = None
 
 
-def _grid_array(box, resolution: float) -> np.ndarray:
-    """The decision grid as one (points, dimension) array, in grid_points order."""
-    return np.fromiter(grid_points(box, resolution),
-                       dtype=np.dtype((float, len(box))))
-
-
 def _tabulate(fn: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
+    """fn at each row of xs: one batch call for a ScenarioFunction that
+    declares ``evaluate_batch``, else one call per row."""
+    if isinstance(fn, ScenarioFunction):
+        return fn.tabulate(xs)
     return np.fromiter((fn(x) for x in xs), dtype=float, count=len(xs))
 
 
-def _expectation_table(block, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    ev = np.empty((len(xs), block.m))
-    for row, x in enumerate(xs):
-        ev[row] = block.expectation(weights, x)
-    return ev
+def _grid_argmin(values: np.ndarray, message: str) -> int:
+    """The first smallest grid value, nan counting as +inf; raises
+    InfeasibleAtResolution when every value is +inf."""
+    ix = int(np.argmin(_nan_to_inf(values)))
+    if values[ix] == INF:
+        raise InfeasibleAtResolution(message)
+    return ix
 
 
 class _CostTable:
@@ -718,14 +766,15 @@ def _support_grid_values(program: StochasticProgram, spec: SupportPerturbation,
 def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
                            xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per decision, the closed-form minimum over u of the composite
-    relaxation and its minimizer; the constraint maps are evaluated only
-    where the weighted objective is finite."""
+    relaxation and its minimizer (``composite_u_step`` at every row); the
+    constraint maps are evaluated only where the weighted objective is
+    finite."""
     block = program.composite
     y = spec.tilt_m(block.m)
     base = _CostTable(xs, program.f0, program.scenarios).weighted(
         spec.p_nu[None, :])[:, 0]
     finite = base != INF
-    ev = _expectation_table(block, spec.p_nu, xs[finite])
+    ev = block.expectation_table(spec.p_nu, xs[finite])
     U = np.zeros((len(xs), block.m))
     U[finite] = np.minimum(y / spec.theta_nu, block.b - ev)
     x_values = np.full(len(xs), INF)
@@ -733,6 +782,39 @@ def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
     x_values[finite] = base[finite] + 0.5 * spec.theta_nu * np.einsum(
         "ij,ij->i", uf, uf) - uf @ y
     return x_values, U
+
+
+def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
+                         xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """r(x) = min over u of the relaxation at every decision in xs, and a
+    minimizing u per decision, for every variant but the support one.
+
+    The anchored variant is the table at program.p with the composite
+    constraint applied; the simplex variants evaluate the costs only where
+    f0 is finite and take the u-steps of a block of rows at once.
+    """
+    if isinstance(spec, CompositePenalty):
+        return _composite_grid_values(program, spec, xs)
+    block = program.composite
+    if isinstance(spec, ExactIndicator):
+        vals = _CostTable(xs, program.f0, program.scenarios).weighted(
+            program.p[None, :])[:, 0]
+        if block is not None:
+            vals[np.any(block.expectation_table(program.p, xs) > block.b + 1e-12,
+                        axis=1)] = INF
+        return vals, np.zeros((len(xs), program.s if block is None else block.m))
+    f0 = _tabulate(program.f0, xs)
+    keep = np.flatnonzero(f0 != INF)
+    vals = np.full(len(xs), INF)
+    U = np.zeros((len(xs), program.s))
+    tilt = spec.tilt()
+    step = max(1, ORACLE_BLOCK_FLOATS // program.s)
+    for start in range(0, keep.size, step):
+        rows = keep[start:start + step]
+        C = np.column_stack([_tabulate(f, xs[rows]) for f in program.scenarios])
+        U[rows], inner = u_step_rows(spec, C, tilt)
+        vals[rows] = f0[rows] + inner
+    return vals, U
 
 
 def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
@@ -772,22 +854,16 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
         raise ValueError(f"{n_evals} oracle evaluations exceed the cap")
 
     v_rows = None
-    if isinstance(spec, ExactIndicator):
-        # one perturbation per decision: nothing to reuse
-        u0 = np.zeros(program.composite.m if program.composite is not None else s)
-        x_values = _tabulate(lambda x: eval_exact(program, u0, x), xs)
-        u_rows = np.zeros((len(xs), u0.size))
-    elif isinstance(spec, CompositePenalty):
-        x_values, u_rows = _composite_grid_values(program, spec, xs)
+    if isinstance(spec, (ExactIndicator, CompositePenalty)):
+        # one perturbation per decision: the solver's own tabulation
+        x_values, u_rows = _reduced_grid_values(program, spec, xs)
     elif isinstance(spec, SupportPerturbation):
         x_values, u_rows, v_rows = _support_grid_values(program, spec, xs, U, v_axis)
     else:
         x_values, u_rows = _simplex_grid_values(program, spec, xs, U)
 
-    ix = int(np.argmin(_nan_to_inf(x_values)))
+    ix = _grid_argmin(x_values, "oracle found no finite point")
     best_val = x_values[ix]
-    if best_val == INF:
-        raise InfeasibleAtResolution("oracle found no finite point")
     sets = {float(d): xs[x_values <= best_val + d + 1e-12] for d in deltas}
     return OracleResult(u=u_rows[ix].copy(), x=xs[ix].copy(), value=float(best_val),
                         argmin_sets=sets,
@@ -816,7 +892,7 @@ def make_min_value_oracle(program: StochasticProgram, spec: RockafellianSpec,
         costs = program.scenarios
     table = _CostTable(xs, program.f0, costs)
     anchor = program.p if isinstance(spec, ExactIndicator) else spec.p_nu
-    expectation = functools.cache(lambda: _expectation_table(block, anchor, xs))
+    expectation = functools.cache(lambda: block.expectation_table(anchor, xs))
 
     def values(u: np.ndarray) -> np.ndarray:
         if isinstance(spec, ExactIndicator):

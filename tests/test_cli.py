@@ -169,3 +169,17 @@ def test_threaded_run_matches_serial(tmp_path, monkeypatch):
         return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
     assert strip_wall(out1 / "par.csv") == strip_wall(out2 / "par.csv")
+
+
+def test_explicit_weights_missing_a_scale_fail_before_any_solve(tmp_path, capsys):
+    config = {"name": "tiny", "n": 1, "s": 1,
+              "scenarios": [{"tag": "linear", "params": {"c": [1.0]}}],
+              "p": [1.0], "box": [[0.0, 1.0]],
+              "perturbation": {"kind": "explicit",
+                               "params": {"weights": {"10": [1.0]}}}}
+    (tmp_path / "tiny.json").write_text(json.dumps(config))
+    plan = write_plan(tmp_path, {"instance": "tiny.json", "nus": [10, 100]})
+    out = tmp_path / "out"
+    assert main(["run", "--plan", plan, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "nu = 100" in capsys.readouterr().err

@@ -161,3 +161,37 @@ def test_costs_vector():
     prog = make_program([1.0, INF], [0.5, 0.5])
     fx = prog.costs(np.zeros(1))
     assert fx[0] == 1.0 and fx[1] == INF
+
+
+def test_tabulate_uses_batch_and_rejects_minus_infinity():
+    X = np.linspace(0.0, 1.0, 5)[:, None]
+    calls = []
+    fn = ScenarioFunction(evaluate=lambda x: calls.append(x) or float(x[0]),
+                          evaluate_batch=lambda X: 2.0 * X[:, 0])
+    assert fn.tabulate(X) == pytest.approx(2.0 * X[:, 0])
+    assert not calls  # the batch evaluator filled the column
+    bad = ScenarioFunction(evaluate=lambda x: 0.0,
+                           evaluate_batch=lambda X: np.where(X[:, 0] > 0.5, -INF, 0.0))
+    with pytest.raises(ImproperFunctionError):
+        bad.tabulate(X)
+
+
+def test_tabulate_without_batch_calls_once_per_row():
+    X = np.linspace(0.0, 1.0, 5)[:, None]
+    calls = []
+    fn = ScenarioFunction(evaluate=lambda x: calls.append(x) or float(x[0]) ** 2)
+    assert fn.tabulate(X) == pytest.approx(X[:, 0] ** 2)
+    assert len(calls) == 5
+    with pytest.raises(ImproperFunctionError):
+        ScenarioFunction(evaluate=lambda x: -INF).tabulate(X)
+
+
+def test_expectation_table_without_batch_maps_skips_zero_weights():
+    def explode(x):
+        raise RuntimeError("must not be called")
+
+    block = CompositeBlock(G=[lambda x: np.array([2.0 * float(x[0])]), explode],
+                           b=np.array([1.0]), m=1)
+    X = np.array([[3.0], [0.5]])
+    table = block.expectation_table(np.array([1.0, 0.0]), X)
+    assert table == pytest.approx(np.array([[6.0], [1.0]]))

@@ -188,3 +188,109 @@ def test_perturbed_weights_kinds():
                            "params": {"weights": {"10": [0.9, 0.1]}}}
     defn = build_from_config(cfg)
     assert perturbed_weights(defn, 10) == pytest.approx(np.array([0.9, 0.1]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scalar_values(fn, X):
+    return np.array([fn(x) for x in X])
+
+
+CATALOG = [
+    ("linear", {"c": [0.3, -1.7], "d": 0.25}, 2),
+    ("quadratic", {"a": [0.7, 1.3], "c": [-0.4, 0.9], "d": -0.1}, 2),
+    ("hinge", {"feature": [1.5], "label": -1.0}, 2),
+    ("heaviside-composite", {"xi": 0.3}, 1),
+    ("indicator-box", {"lo": [-0.5, -0.2], "hi": [0.5, 0.4]}, 2),
+    ("cross-entropy", {"feature": [2.0, -3.5], "label": 1.0}, 2),
+    ("cross-entropy", {"feature": [40.0, -35.0], "label": -1.0}, 2),
+]
+
+
+@pytest.mark.parametrize("tag,params,n", CATALOG, ids=lambda v: str(v)[:20])
+def test_catalog_evaluate_batch_matches_call_bit_for_bit(tag, params, n):
+    rng = np.random.default_rng(5)
+    fn = make_scenario(tag, params, n)
+    X = rng.uniform(-1.0, 1.0, size=(400, n))  # half outside the indicator box
+    if tag == "heaviside-composite":
+        # arguments on and next to the step's HEAVISIDE_ATOL threshold
+        edge = HEAVISIDE_ATOL - 0.3
+        X = np.concatenate([X, [[edge], [np.nextafter(edge, 1.0)],
+                                [np.nextafter(edge, -1.0)], [-0.3]]])
+    if tag == "hinge":
+        X = np.concatenate([X, [[0.0, -1.0], [2.0, 2.0]]])  # margins 1 and < 1
+    values = fn.tabulate(X)
+    assert fn.evaluate_batch is not None
+    assert same_bits(values, scalar_values(fn, X))
+    if tag == "indicator-box":
+        assert np.isinf(values).any() and (values == 0.0).any()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_evaluate_batch_matches_call_bit_for_bit(name):
+    bundle = build_example(name, 100)
+    lo, hi = np.array(bundle.box).T
+    # the box widened by a third on each side, so ex23's f0 is +inf in part
+    X = np.random.default_rng(8).uniform(lo - (hi - lo) / 3, hi + (hi - lo) / 3,
+                                         size=(500, lo.size))
+    if name == "ex23":
+        X = np.concatenate([X, [[HEAVISIDE_ATOL - 0.01], [HEAVISIDE_ATOL - 1.0],
+                                [0.0], [1.0]]])
+    for prog in (bundle.actual, bundle.perturbed):
+        for fn in [prog.f0] + list(prog.scenarios):
+            assert fn.evaluate_batch is not None
+            assert same_bits(fn.tabulate(X), scalar_values(fn, X))
+        if name == "ex23":
+            assert np.isinf(prog.f0.tabulate(X)).any()
+        block = prog.composite
+        if block is not None:
+            for w in (prog.p, bundle.spec.p_nu, np.array([0.2, 0.0, 0.8])):
+                table = block.expectation_table(w, X)
+                assert same_bits(table, np.array([block.expectation(w, x) for x in X]))
+
+
+def test_config_composite_evaluate_batch_matches_call():
+    cfg = minimal_config()
+    cfg["composite"] = {"b": [0.5], "G": [{"tag": "linear", "params": {"c": [2.0]}}]}
+    cfg["f0"] = {"tag": "quadratic", "params": {"a": [1.0]}}
+    defn = build_from_config(cfg)
+    X = np.linspace(-1.0, 1.0, 41)[:, None]
+    assert same_bits(defn.f0.tabulate(X), scalar_values(defn.f0, X))
+    block = defn.composite
+    assert block.G_batch is not None
+    assert same_bits(block.expectation_table(np.array([1.0]), X),
+                     np.array([block.expectation(np.array([1.0]), x) for x in X]))
+    no_f0 = build_from_config(minimal_config()).f0
+    assert same_bits(no_f0.tabulate(X), np.zeros(len(X)))
+
+
+def test_config_rejects_composite_bound_with_several_entries():
+    cfg = minimal_config()
+    cfg["composite"] = {"b": [0.5, 1.0],
+                        "G": [{"tag": "linear", "params": {"c": [2.0]}}]}
+    with pytest.raises(ConfigError, match="composite/b"):
+        build_from_config(cfg)
+
+
+def test_config_rejects_zbar_mode():
+    cfg = minimal_config()
+    cfg["composite"] = {"b": [0.5], "zbar_mode": "frozen",
+                        "G": [{"tag": "linear", "params": {"c": [2.0]}}]}
+    with pytest.raises(ConfigError, match="composite"):
+        build_from_config(cfg)
+
+
+def test_explicit_perturbation_without_the_scale_is_a_config_error():
+    cfg = minimal_config()
+    cfg["perturbation"] = {"kind": "explicit",
+                           "params": {"weights": {"10": [1.0]}}}
+    defn = build_from_config(cfg)
+    assert perturbed_weights(defn, 10) == pytest.approx(np.array([1.0]))
+    with pytest.raises(ConfigError, match="nu = 100"):
+        perturbed_weights(defn, 100)
+    cfg["perturbation"]["params"]["weights"]["100"] = [0.5]
+    with pytest.raises(ConfigError, match="weights/100"):
+        perturbed_weights(build_from_config(cfg), 100)

@@ -9,11 +9,14 @@ from rockrelax.rockafellian import (ExactIndicator, L1Penalty,
                                     PerturbationPoint, PhiDivergencePenalty,
                                     QuadraticPenalty, SupportPerturbation,
                                     eval_approx, eval_exact)
-from rockrelax.solver import (GridMethod, InfeasibleAtResolution,
-                              ProjectedGradientMethod, SolveConfig,
+import rockrelax.solver as solver
+from rockrelax.solver import (MAX_GRID_EVALS, GridMethod, InfeasibleAtResolution,
+                              ProjectedGradientMethod, SolveConfig, _grid_array,
+                              _reduced_grid_values, _reduced_objective,
                               brute_force_oracle, composite_u_step, grid_axis,
                               grid_points, simplex_grid, solve_joint, u_step,
-                              u_step_grid_oracle, u_subproblem_value, x_step)
+                              u_step_grid_oracle, u_step_rows,
+                              u_subproblem_value, x_step)
 
 
 def quad_program(box_n=1):
@@ -417,3 +420,173 @@ def test_solve_config_validation():
         SolveConfig(x_method=method, max_outer_iters=0)
     with pytest.raises(ValueError):
         GridMethod(box=((0.0, 1.0),), resolution=0.0)
+
+
+@pytest.mark.parametrize("box,resolution", [
+    (((0.0, 1.0),), 1e-3),
+    (((-1.0, 1.0), (-1.5, 1.5)), 1e-2),
+    (((0.0, 1.0), (-0.3, 0.7), (2.0, 2.5)), 0.05),
+])
+def test_grid_array_equals_grid_points_bit_for_bit(box, resolution):
+    xs = _grid_array(box, resolution)
+    ref = np.array(list(grid_points(box, resolution)))
+    assert xs.shape == ref.shape == (len(ref), len(box))
+    assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+
+
+def test_grid_array_keeps_the_evaluation_cap():
+    box = ((0.0, 1.0),) * 3
+    assert 1001 ** 3 > MAX_GRID_EVALS
+    with pytest.raises(ValueError, match="cap"):
+        _grid_array(box, 1e-3)
+
+
+def reweighting_specs(p, theta):
+    specs = [QuadraticPenalty(p_nu=p, theta_nu=theta), L1Penalty(p_nu=p, theta=theta)]
+    specs += [PhiDivergencePenalty(p_nu=p, theta_nu=theta, family=fam)
+              for _, fam in sorted(FAMILIES.items())]
+    return specs
+
+
+def spec_id(spec):
+    return getattr(getattr(spec, "family", None), "tag", type(spec).__name__)
+
+
+#: random costs; an infinite cost; every cost infinite; a spread of exactly
+#: 2 theta (theta = 0.5) under which the l1 weights stay put
+COST_ROWS = np.array([[0.3, -1.2, 0.8], [1.0, INF, 0.2], [INF, INF, INF],
+                      [0.0, 1.0, 1.0], [2.0, -0.5, 1.5]])
+
+
+def assert_rows_are_one_row_steps(spec, C):
+    U, vals = u_step_rows(spec, C)
+    for k, costs in enumerate(C):
+        u, val = u_step(spec, costs)
+        assert np.array_equal(U[k], u) and vals[k] == val, k
+    return U, vals
+
+
+def assert_matches_grid_oracle(spec, costs, val):
+    _, gval = u_step_grid_oracle(spec, costs)
+    if gval == INF:  # e.g. burg: Phi(0) = +inf, so the +inf cost is unavoidable
+        assert val == INF
+    else:
+        assert abs(val - gval) <= 1e-6, (spec_id(spec), costs, val, gval)
+
+
+@pytest.mark.parametrize("spec", reweighting_specs(np.array([0.2, 0.5, 0.3]), 0.5),
+                         ids=spec_id)
+def test_batched_u_step_rows_match_one_row_steps_and_grid_oracle(spec):
+    U, vals = assert_rows_are_one_row_steps(spec, COST_ROWS)
+    assert np.array_equal(U[2], -spec.p_nu) and vals[2] == INF
+    assert np.all(U[1, 1] + spec.p_nu[1] == 0.0)  # no weight on the +inf cost
+    for k in (0, 1):
+        assert_matches_grid_oracle(spec, COST_ROWS[k], vals[k])
+    if isinstance(spec, L1Penalty):
+        assert np.all(U[3] == 0.0)
+        assert_matches_grid_oracle(spec, COST_ROWS[3], vals[3])
+
+
+@pytest.mark.parametrize("spec", reweighting_specs(np.array([0.5, 0.5, 0.0]), 0.5),
+                         ids=spec_id)
+def test_batched_u_step_with_zero_base_weight(spec):
+    _, vals = assert_rows_are_one_row_steps(spec, COST_ROWS)
+    assert_matches_grid_oracle(spec, COST_ROWS[0], vals[0])
+
+
+@pytest.mark.parametrize("spec", [s for s in reweighting_specs(
+    np.array([0.2, 0.5, 0.3]), 0.0) if spec_id(s) in ("QuadraticPenalty",
+                                                       "L1Penalty", "kl")],
+    ids=spec_id)
+def test_batched_u_step_without_penalty(spec):
+    _, vals = assert_rows_are_one_row_steps(spec, COST_ROWS)
+    assert_matches_grid_oracle(spec, COST_ROWS[3], vals[3])
+
+
+def test_projected_gradient_takes_one_u_step_per_evaluated_point(monkeypatch):
+    f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
+                          gradient=lambda x: 2.0 * x)
+    slopes = (np.array([0.3, -0.2]), np.array([-0.25, 0.1]), np.array([0.05, 0.3]))
+    scen = [ScenarioFunction(evaluate=lambda x, c=c: float(c @ x) + float(x[0] ** 3),
+                             gradient=lambda x, c=c: c + np.array([3.0 * x[0] ** 2, 0.0]))
+            for c in slopes]
+    prog = StochasticProgram(f0=f0, scenarios=scen, p=np.array([0.5, 0.3, 0.2]), n=2)
+    evaluated, u_steps = [], []
+    phase = ["objective"]
+    real_x_step, real_u_step = solver.x_step, solver.u_step
+
+    def spy_x_step(objective, method, gradient=None, x0=None):
+        def counted(z):
+            evaluated.append(tuple(z))
+            return objective(z)
+
+        def watched(z):
+            phase[0] = "gradient"
+            try:
+                return gradient(z)
+            finally:
+                phase[0] = "objective"
+
+        result = real_x_step(counted, method, gradient=watched, x0=x0)
+        phase[0] = "after"  # solve_joint's u at the final iterate
+        return result
+
+    def spy_u_step(*args, **kwargs):
+        u_steps.append(phase[0])
+        return real_u_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "x_step", spy_x_step)
+    monkeypatch.setattr(solver, "u_step", spy_u_step)
+    for nu in (10, 100, 1000):
+        evaluated.clear()
+        u_steps.clear()
+        phase[0] = "objective"
+        p_nu = prog.p + np.array([1.0, -0.5, -0.5]) * (0.3 / nu)
+        spec = QuadraticPenalty(p_nu=p_nu, theta_nu=5.0)
+        report = solve_joint(prog, spec, SolveConfig(
+            x_method=ProjectedGradientMethod(box=((-2.0, 2.0), (-2.0, 2.0)))))
+        assert len(evaluated) > 3
+        # the gradient and the reported u reuse the u-step of the accepted
+        # point; the line search itself revisits some points
+        assert set(u_steps) == {"objective"}, nu
+        assert len(set(evaluated)) <= len(u_steps) <= len(evaluated), nu
+        u, _ = real_u_step(spec, prog.costs(report.x_final), spec.tilt())
+        assert np.array_equal(report.u_final, u)
+
+
+def test_tabulated_reduced_objective_matches_pointwise_steps():
+    # f0 is +inf below 0.1, scenario 3 is +inf above 0.6 and scenario 1 is
+    # a step; the scalar costs have no evaluate_batch
+    f0 = ScenarioFunction(evaluate=lambda x: INF if x[0] < 0.1 - 1e-12
+                          else 0.3 * float(x[0]) ** 2)
+    scen = [ScenarioFunction(evaluate=lambda x: 1.0 if x[0] > 0.45 else 0.0),
+            ScenarioFunction(evaluate=lambda x: 1.0 - float(x[0])),
+            ScenarioFunction(evaluate=lambda x: INF if x[0] > 0.6 + 1e-12
+                             else -2.0 * float(x[0]))]
+    prog = StochasticProgram(f0=f0, scenarios=scen, p=np.array([0.2, 0.5, 0.3]), n=1)
+    xs = _grid_array(((0.0, 1.0),), 0.05)
+    specs = [ExactIndicator()] + reweighting_specs(prog.p, 0.6)
+    for spec in specs:
+        vals, U = _reduced_grid_values(prog, spec, xs)
+        reduced = _reduced_objective(spec, prog)
+        for x, val, u in zip(xs, vals, U):
+            want, want_u = reduced(x)
+            if want == INF:
+                assert val == INF
+            else:
+                assert val == pytest.approx(want, rel=1e-12, abs=1e-15), spec_id(spec)
+                assert np.array_equal(u, want_u), spec_id(spec)
+
+    # the composite variant and the anchored one with a composite block
+    b = build_example("ex22", 1000)
+    xs = _grid_array(b.box, 0.1)
+    block = b.perturbed.composite
+    vals, U = _reduced_grid_values(b.perturbed, b.spec, xs)
+    for x, val, u in zip(xs, vals, U):
+        want_u, _ = composite_u_step(b.spec, block.expectation(b.spec.p_nu, x), block.b)
+        assert np.array_equal(u, want_u)
+        assert val == pytest.approx(eval_approx(b.spec, b.perturbed, u, x), rel=1e-12)
+    vals, _ = _reduced_grid_values(b.perturbed, ExactIndicator(), xs)
+    want = [eval_exact(b.perturbed, np.zeros(1), x) for x in xs]
+    assert np.array_equal(vals, want)
+    assert np.isinf(vals).any() and np.isfinite(vals).any()
