@@ -1,10 +1,10 @@
 """Relaxation of finite-support stochastic programs under weight ambiguity.
 
 The library evaluates bivariate relaxations of scenario programs, solves
-them by a grid or gradient decision step on the objective with the weight
-perturbation minimized out exactly (the support-shift variant alternates),
-and certifies the results against brute-force oracles and convergence-rate
-bounds.
+them by a grid or gradient decision step on the objective with the
+perturbation minimized out (for the support-shift variant, per scenario on a
+weight grid and then polished by the exact weight step), and certifies the
+results against brute-force oracles and convergence-rate bounds.
 """
 from .analysis import (EmpiricalRateReport, RateCertificate, RateRow,
                        ResidualReport, empirical_rate_check,
@@ -13,7 +13,7 @@ from .analysis import (EmpiricalRateReport, RateCertificate, RateRow,
 from .divergence import FAMILIES, PhiFamily, get_family, phi_divergence, phi_eval
 from .extreal import (INF, CompositeBlock, ImproperFunctionError,
                       ScenarioFunction, StochasticProgram, check_simplex,
-                      ext_add, ext_mul, ext_sum, weighted_objective)
+                      ext_add, ext_mul, weighted_objective)
 from .instances import (BUILTIN_NAMES, ConfigError, ExampleBundle, InstanceDef,
                         build_example, build_from_config, instantiate,
                         perturbed_weights)
@@ -25,8 +25,8 @@ from .rockafellian import (CertificateReport, CompositePenalty, ExactIndicator,
                            QuadraticPenalty, SupportPerturbation,
                            check_exactness_certificate, default_u_samples,
                            eval_approx, eval_exact)
-from .simplex import (GENERATOR_ID, in_normal_cone, normal_cone_distance,
-                      project_to_simplex, sample_empirical)
+from .simplex import (GENERATOR_ID, normal_cone_distance, project_to_simplex,
+                      sample_empirical)
 from .solver import (GridMethod, InfeasibleAtResolution, OracleResult,
                      ProjectedGradientMethod, SolveConfig, SolveReport,
                      brute_force_oracle, composite_u_step,

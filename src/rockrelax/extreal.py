@@ -6,8 +6,7 @@ scenario annihilates an infinite cost instead of poisoning the sum.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,22 +38,6 @@ def ext_mul(a: float, b: float) -> float:
     out = a * b
     # finite*finite can only produce nan from nan inputs, which we pass on
     return out
-
-
-def ext_combine(op: str, a: float, b: float) -> float:
-    """Dispatch {'add', 'mul'} onto the extended-real operations."""
-    if op == "add":
-        return ext_add(a, b)
-    if op == "mul":
-        return ext_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ext_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total = ext_add(total, v)
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Geometry of the probability simplex: projection, normal cones, sampling."""
+"""Geometry of the probability simplex: projection, normal cones, grids,
+sampling."""
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -43,22 +45,6 @@ def projection_threshold(z, q) -> float:
     return float(np.mean(z[pos] - q[pos]))
 
 
-def clamp_to_simplex(q, atol: float = 1e-12) -> np.ndarray:
-    """Zero out components within -atol of 0 and renormalize.
-
-    Downstream divergence conventions need exact zeros to trigger the
-    0*Phi(0/0) = 0 branch, so tiny negatives are not left in place.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float)).copy()
-    if np.any(q < -atol):
-        raise ValueError("component below simplex tolerance")
-    q[q < 0] = 0.0
-    total = q.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"vector sums to {total}, not renormalizable")
-    return q / total
-
-
 def normal_cone_distance(q, w, tol: float = 1e-10) -> float:
     """Distance from w to the normal cone of the simplex at q.
 
@@ -83,8 +69,39 @@ def normal_cone_distance(q, w, tol: float = 1e-10) -> float:
     return float(np.sqrt(max(res.fun, 0.0)))
 
 
-def in_normal_cone(q, w, tol: float = 1e-8) -> bool:
-    return normal_cone_distance(q, w) <= tol
+def simplex_grid(s: int, resolution: float, center: Optional[np.ndarray] = None,
+                 radius: Optional[float] = None) -> List[np.ndarray]:
+    """Probability vectors with components that are multiples of resolution.
+
+    With a center and radius, only the points within the sup-norm ball are
+    generated, which supports multi-stage refinement.
+    """
+    k = int(round(1.0 / resolution))
+    out: List[np.ndarray] = []
+
+    def bounds(i: int) -> Tuple[int, int]:
+        if center is None or radius is None:
+            return 0, k
+        lo = max(0, int(math.ceil((center[i] - radius) * k - 1e-9)))
+        hi = min(k, int(math.floor((center[i] + radius) * k + 1e-9)))
+        return lo, hi
+
+    counts = np.zeros(s, dtype=int)
+
+    def rec(i: int, remaining: int):
+        if i == s - 1:
+            lo, hi = bounds(i)
+            if lo <= remaining <= hi:
+                counts[i] = remaining
+                out.append(counts / k)
+            return
+        lo, hi = bounds(i)
+        for c in range(lo, min(hi, remaining) + 1):
+            counts[i] = c
+            rec(i + 1, remaining - c)
+
+    rec(0, k)
+    return out
 
 
 def sample_empirical(p, count: int, seed: int) -> np.ndarray:
@@ -102,7 +119,3 @@ def sample_empirical(p, count: int, seed: int) -> np.ndarray:
 
 
 GENERATOR_ID = "numpy-PCG64"
-
-
-def simplex_vertices(s: int) -> np.ndarray:
-    return np.eye(s)

@@ -10,9 +10,11 @@ evaluated once per grid decision (the costs only where f0 is finite), every
 row's u-step is taken with array operations, and the first smallest r wins.
 A ``ScenarioFunction`` that declares ``evaluate_batch`` fills its column
 with one call; one without it (a plain user callable) is called once per
-decision, with the same result. Projected gradient takes the one-row u-step
-at each point it evaluates. Only the support variant alternates. Grid
-oracles provide ground truth on small instances.
+decision, with the same result. The support variant's reduced objective
+separates per scenario at a fixed decision, so a min-plus program over a
+weight grid minimizes it, polished by the exact u-step at the shifts it
+picked. Projected gradient takes the one-row u-step at each point it
+evaluates. Grid oracles provide ground truth on small instances.
 """
 from __future__ import annotations
 
@@ -30,15 +32,20 @@ from .extreal import (INF, ScenarioFunction, StochasticProgram, ext_add,
 from .rockafellian import (CompositePenalty, ExactIndicator, L1Penalty,
                            PerturbationPoint, PhiDivergencePenalty,
                            QuadraticPenalty, RockafellianSpec,
-                           SupportPerturbation, _in_simplex, eval_approx,
-                           eval_exact, support_cost, weight_penalty)
-from .simplex import project_rows_to_simplex
+                           SupportPerturbation, _in_simplex, _support_sum,
+                           eval_approx, eval_exact, support_cost,
+                           weight_penalty)
+from .simplex import project_rows_to_simplex, simplex_grid
 
 MAX_GRID_EVALS = 10 ** 8
 
 #: the grid oracles work through their decisions in blocks small enough that
 #: no (decisions x perturbations) temporary holds more than this many floats
 ORACLE_BLOCK_FLOATS = 2 ** 18
+
+#: the support solve puts weights a / SUPPORT_WEIGHT_STEPS on each scenario,
+#: the u-resolution of the CLI's brute-force oracle
+SUPPORT_WEIGHT_STEPS = 100
 
 
 class InfeasibleAtResolution(RuntimeError):
@@ -73,16 +80,8 @@ XMethod = Union[GridMethod, ProjectedGradientMethod]
 @dataclass(frozen=True)
 class SolveConfig:
     x_method: XMethod
-    max_outer_iters: int = 50
-    objective_tolerance: float = 1e-9
     v_box: Optional[Tuple[float, float]] = None
     v_resolution: Optional[float] = None
-
-    def __post_init__(self):
-        if self.objective_tolerance <= 0:
-            raise ValueError("objective_tolerance must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("need at least one outer iteration")
 
 
 @dataclass
@@ -121,41 +120,6 @@ def _grid_array(box, resolution: float) -> np.ndarray:
     """The decision grid as one (points, dimension) array, in grid_points order."""
     mesh = np.meshgrid(*_grid_axes(box, resolution), indexing="ij")
     return np.stack([axis.ravel() for axis in mesh], axis=1)
-
-
-def simplex_grid(s: int, resolution: float, center: Optional[np.ndarray] = None,
-                 radius: Optional[float] = None) -> List[np.ndarray]:
-    """Probability vectors with components that are multiples of resolution.
-
-    With a center and radius, only the points within the sup-norm ball are
-    generated, which supports multi-stage refinement.
-    """
-    k = int(round(1.0 / resolution))
-    out: List[np.ndarray] = []
-
-    def bounds(i: int) -> Tuple[int, int]:
-        if center is None or radius is None:
-            return 0, k
-        lo = max(0, int(math.ceil((center[i] - radius) * k - 1e-9)))
-        hi = min(k, int(math.floor((center[i] + radius) * k + 1e-9)))
-        return lo, hi
-
-    counts = np.zeros(s, dtype=int)
-
-    def rec(i: int, remaining: int):
-        if i == s - 1:
-            lo, hi = bounds(i)
-            if lo <= remaining <= hi:
-                counts[i] = remaining
-                out.append(counts / k)
-            return
-        lo, hi = bounds(i)
-        for c in range(lo, min(hi, remaining) + 1):
-            counts[i] = c
-            rec(i + 1, remaining - c)
-
-    rec(0, k)
-    return out
 
 
 def _checked_costs(costs) -> np.ndarray:
@@ -406,7 +370,7 @@ def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
     if isinstance(method, ProjectedGradientMethod):
         if gradient is None:
             raise ValueError("projected gradient needs a gradient callable")
-        x = _box_center(method.box) if x0 is None \
+        x = np.array([0.5 * (lo + hi) for lo, hi in method.box]) if x0 is None \
             else np.asarray(x0, dtype=float).copy()
         x = _project_box(x, method.box)
         fx = objective(x)
@@ -434,16 +398,6 @@ def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
         return x, fx
 
     raise TypeError(f"unknown x method {type(method)!r}")
-
-
-def _box_center(box) -> np.ndarray:
-    return np.array([0.5 * (lo + hi) for lo, hi in box])
-
-
-def _shifted_costs(program: StochasticProgram, spec: SupportPerturbation,
-                   v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.array([float(program.generator(spec.xi_nu[i] + v[i], x))
-                     for i in range(spec.xi_nu.shape[0])])
 
 
 Reduced = Callable[[np.ndarray], Tuple[float, Optional[np.ndarray]]]
@@ -522,59 +476,21 @@ def plain_objective(spec, program: StochasticProgram, u, x, v=None) -> float:
         return weighted_objective(program, spec.p_nu, x)
     q = np.maximum(spec.p_nu + np.atleast_1d(np.asarray(u, float)), 0.0)
     if isinstance(spec, SupportPerturbation) and v is not None:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        total = program.f0(x)
-        for i, qi in enumerate(q):
-            if qi != 0.0:
-                total = ext_add(total, ext_mul(qi, float(
-                    program.generator(spec.xi_nu[i] + v[i], x))))
-        return total
+        return _support_sum(program, q, spec.xi_nu, v, x)
     return weighted_objective(program, q, x)
 
 
-def _report(spec, program: StochasticProgram, u, x, value: float,
-            trace: List[float], oracle_value: Optional[float],
-            v: Optional[np.ndarray] = None) -> SolveReport:
-    unbounded = value < -1e15
-    return SolveReport(u_final=u, x_final=x, value=value,
-                       plain_objective=-INF if unbounded
-                       else plain_objective(spec, program, u, x, v),
-                       trace=trace, iterations=len(trace), v_final=v,
-                       epsilon_certificate=None if oracle_value is None
-                       else value - oracle_value,
-                       unbounded=unbounded)
-
-
-def _solve_support(program: StochasticProgram, spec: SupportPerturbation,
-                   config: SolveConfig,
-                   oracle_value: Optional[float]) -> SolveReport:
-    """Alternate the exact u-step at the current shifted costs with a joint
-    decision/shift grid step at the new weights: the support oracle with one
-    perturbation row."""
-    method = config.x_method
-    if not isinstance(method, GridMethod):
-        raise ValueError("the support variant requires the grid method")
-    if config.v_box is None or config.v_resolution is None:
-        raise ValueError("support variant needs v_box and v_resolution")
+def _v_axis(spec: RockafellianSpec, v_box: Optional[Tuple[float, float]],
+            v_resolution: Optional[float]) -> Optional[np.ndarray]:
+    """The support variant's shift axis (None for the other variants), with
+    the checks every support grid path needs."""
+    if not isinstance(spec, SupportPerturbation):
+        return None
+    if v_box is None or v_resolution is None:
+        raise ValueError("the support variant needs v_box and v_resolution")
     if spec.xi_nu.shape[1] != 1:
-        raise ValueError("the grid shift step supports 1-d support points only")
-    v_axis = grid_axis(config.v_box[0], config.v_box[1], config.v_resolution)
-    xs = _grid_array(method.box, method.resolution)
-    x = _box_center(method.box)
-    v = np.zeros_like(spec.xi_nu)
-    trace: List[float] = []
-    for _ in range(config.max_outer_iters):
-        u, _ = u_step(spec, _shifted_costs(program, spec, v, x), spec.tilt())
-        x_values, _, v_rows = _support_grid_values(program, spec, xs, u[None, :],
-                                                   v_axis)
-        ix = _grid_argmin(x_values, "no finite point in the decision box")
-        x, v = xs[ix].copy(), v_rows[ix]
-        trace.append(float(x_values[ix]))
-        if trace[-1] < -1e15 or (len(trace) > 1 and
-                                 trace[-2] - trace[-1] < config.objective_tolerance):
-            break
-    value = eval_approx(spec, program, PerturbationPoint(u, v), x)
-    return _report(spec, program, u, x, value, trace, oracle_value, v)
+        raise ValueError("the support variant handles 1-d support points only")
+    return grid_axis(v_box[0], v_box[1], v_resolution)
 
 
 def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
@@ -582,33 +498,40 @@ def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
                 oracle_value: Optional[float] = None) -> SolveReport:
     """Minimize the relaxation jointly over the perturbation and the decision.
 
-    Every variant but the support one has an exact u-step, so the decision
-    step runs once, on the reduced objective r(x) = min_u f(u, x), and the
-    reported u is its minimizer at the reported decision. On the grid, r is
-    tabulated at every decision with array operations and the first
-    smallest value wins: the grid-exact joint minimum. The support variant,
-    whose shifts and weights are coupled, alternates (see
-    ``_solve_support``). The reported value is the relaxation evaluated at
-    the reported point.
+    The decision step runs once, on the reduced objective
+    r(x) = min_{u, v} f(u, v, x), and the reported perturbation is its
+    minimizer at the reported decision. On the grid, r is tabulated at every
+    decision with array operations and the first smallest value wins: the
+    grid-exact joint minimum (for the support variant, over weights on the
+    grid of ``SUPPORT_WEIGHT_STEPS``, then polished by the exact u-step).
+    Projected gradient runs on the variants with an exact u-step. The
+    reported value is the relaxation evaluated at the reported point.
     """
-    if isinstance(spec, SupportPerturbation):
-        return _solve_support(program, spec, config, oracle_value)
     method = config.x_method
+    v_axis = _v_axis(spec, config.v_box, config.v_resolution)
     if isinstance(method, GridMethod):
         xs = _grid_array(method.box, method.resolution)
-        x_values, u_rows = _reduced_grid_values(program, spec, xs)
+        x_values, u_rows, v_rows = _reduced_grid_values(program, spec, xs, v_axis)
         ix = _grid_argmin(x_values, "no finite grid point in the box")
         x, u = xs[ix].copy(), u_rows[ix].copy()
+        v = None if v_rows is None else v_rows[ix].copy()
     else:
-        if isinstance(spec, CompositePenalty):
-            raise ValueError("the composite variant requires the grid method")
+        if isinstance(spec, (CompositePenalty, SupportPerturbation)):
+            raise ValueError(f"{type(spec).__name__} requires the grid method")
         reduced = _Remembered(_reduced_objective(spec, program))
         x, _ = x_step(lambda z: reduced(z)[0], method,
                       gradient=_danskin_gradient(spec, program, reduced))
-        u = reduced(x)[1]
+        u, v = reduced(x)[1], None
     value = eval_exact(program, u, x) if isinstance(spec, ExactIndicator) \
-        else eval_approx(spec, program, u, x)
-    return _report(spec, program, u, x, value, [value], oracle_value)
+        else eval_approx(spec, program, PerturbationPoint(u, v), x)
+    unbounded = value < -1e15
+    return SolveReport(u_final=u, x_final=x, value=value,
+                       plain_objective=-INF if unbounded
+                       else plain_objective(spec, program, u, x, v),
+                       trace=[value], iterations=1, v_final=v,
+                       epsilon_certificate=None if oracle_value is None
+                       else value - oracle_value,
+                       unbounded=unbounded)
 
 
 @dataclass
@@ -721,6 +644,36 @@ def _simplex_grid_values(program: StochasticProgram, spec: RockafellianSpec,
     return x_values, U[best_k]
 
 
+def _generator_blocks(program: StochasticProgram, spec: SupportPerturbation,
+                      xs: np.ndarray, v_axis: np.ndarray, floats_per_decision: int):
+    """The decisions in xs where f0 is finite, in blocks of at most
+    ORACLE_BLOCK_FLOATS // floats_per_decision: per block their indices, f0
+    there, and the generator at each of them (axis 0), support point (axis
+    1) and shift on v_axis (axis 2), with one call each."""
+    f0 = _tabulate(program.f0, xs)
+    keep = np.flatnonzero(f0 != INF)
+    shifted = [[pt + v_axis[j:j + 1] for j in range(v_axis.size)] for pt in spec.xi_nu]
+    step = max(1, ORACLE_BLOCK_FLOATS // floats_per_decision)
+    for start in range(0, keep.size, step):
+        rows = keep[start:start + step]
+        G = np.array([[[float(program.generator(z, x)) for z in row]
+                       for row in shifted] for x in xs[rows]])
+        yield rows, f0[rows], G.reshape(rows.size, len(shifted), v_axis.size)
+
+
+def _shift_minima(G: np.ndarray, w: np.ndarray, shift_pen: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """min over the shifts j of w_a G[k, j] + shift_pen[j], with 0 * inf = 0,
+    at each row k of G (axis 0) and weight w_a (axis 1), and the first j
+    attaining it."""
+    with np.errstate(invalid="ignore"):  # 0 * inf, overwritten next
+        terms = w[:, None] * G[:, None, :]
+    terms[:, w == 0.0] = 0.0
+    terms += shift_pen
+    j = np.argmin(terms, axis=2)
+    return np.take_along_axis(terms, j[..., None], axis=2)[..., 0], j
+
+
 def _support_grid_values(program: StochasticProgram, spec: SupportPerturbation,
                          xs: np.ndarray, U: np.ndarray, v_axis: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -728,39 +681,82 @@ def _support_grid_values(program: StochasticProgram, spec: SupportPerturbation,
     with the first (u, v) attaining it.
 
     The shift penalty separates per scenario at fixed (u, x), so the v
-    product grid collapses to one axis per scenario; the generator is called
-    once per (decision, scenario, shift), never where f0 is +inf.
+    product grid collapses to one axis per scenario, and each scenario's
+    best shift depends on its weight alone, which takes few distinct values
+    over the rows; the generator is called once per (decision, scenario,
+    shift), never where f0 is +inf.
     """
-    s, nv = program.s, v_axis.size
-    W = spec.p_nu + U  # the support variant's weights enter unclipped
-    y = spec.tilt()
-    pen = np.array([weight_penalty(spec, u, w) for u, w in zip(U, W)])
-    tilt = np.array([float(y @ u) for u in U])
+    W, pen, tilt = _weightings(spec, U)
+    levels = [np.unique(W[:, i], return_inverse=True) for i in range(program.s)]
     shift_pen = 0.5 * spec.lambda_nu * v_axis * v_axis
-    step = max(1, ORACLE_BLOCK_FLOATS // nv)
     x_values = np.full(len(xs), INF)
-    u_rows = np.zeros((len(xs), s))
-    v_rows = np.zeros((len(xs), s, 1))
-    for ix, x in enumerate(xs):
-        f0 = program.f0(x)
-        if f0 == INF:
-            continue
-        G = np.array([[float(program.generator(spec.xi_nu[i] + v_axis[j:j + 1], x))
-                       for j in range(nv)] for i in range(s)])
-        total = f0 + pen - tilt
-        V = np.empty((len(U), s))
-        for i in range(s):
-            for start in range(0, len(U), step):
-                rows = slice(start, start + step)
-                w = W[rows, i:i + 1]
-                with np.errstate(invalid="ignore"):
-                    vals = np.where(w == 0.0, 0.0, w * G[i]) + shift_pen
-                j = np.argmin(vals, axis=1)
-                V[rows, i] = v_axis[j]
-                total[rows] += vals[np.arange(j.size), j]
-        k = int(np.argmin(_nan_to_inf(total)))
-        x_values[ix], u_rows[ix], v_rows[ix, :, 0] = total[k], U[k], V[k]
+    u_rows, v_rows = np.zeros((len(xs), program.s)), np.zeros((len(xs), program.s, 1))
+    per = max(len(U), max(program.s, *(w.size for w, _ in levels)) * v_axis.size)
+    for rows, f0, G in _generator_blocks(program, spec, xs, v_axis, per):
+        total = f0[:, None] + pen + tilt
+        picks = []
+        for i, (w, inv) in enumerate(levels):
+            h, j = _shift_minima(G[:, i], w, shift_pen)
+            total += h[:, inv]
+            picks.append(j[:, inv])
+        at = np.arange(rows.size)
+        k = np.argmin(_nan_to_inf(total), axis=1)
+        x_values[rows], u_rows[rows] = total[at, k], U[k]
+        v_rows[rows, :, 0] = v_axis[np.stack([j[at, k] for j in picks], axis=1)]
     return x_values, u_rows, v_rows
+
+
+def _support_reduced_values(program: StochasticProgram, spec: SupportPerturbation,
+                            xs: np.ndarray, v_axis: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r(x) = min over (u, v) of the support relaxation at every decision in
+    xs, with a minimizing u and v per decision.
+
+    At a fixed decision the term h_i(q_i) = min_v [q_i g(xi_i + v, x) +
+    (lambda/2) v^2] + (theta/2) u_i^2 - y_i u_i depends on scenario i's own
+    weight q_i = p_i + u_i only. On the weights a / SUPPORT_WEIGHT_STEPS the
+    problem is thus a separable allocation under sum q = 1, which a min-plus
+    program over the mass solves, ties going to the first a scenario by
+    scenario. The exact u-step at the shifts it picked replaces its u where
+    that is strictly lower.
+    """
+    K, s = SUPPORT_WEIGHT_STEPS, program.s
+    y = spec.tilt()
+    Ua = np.arange(K + 1) / K - spec.p_nu[:, None]  # u putting weight a / K on i
+    Wa = spec.p_nu[:, None] + Ua  # the weights enter unclipped
+    shift_pen = 0.5 * spec.lambda_nu * v_axis * v_axis
+    rest = np.arange(K + 1)[:, None] - np.arange(K + 1)  # mass m less part a
+    vals, U, V = np.full(len(xs), INF), np.zeros((len(xs), s)), np.zeros((len(xs), s, 1))
+    per = max(s, K + 1) * max(v_axis.size, K + 1)
+    for rows, f0, G in _generator_blocks(program, spec, xs, v_axis, per):
+        at = np.arange(rows.size)[:, None]
+        H, J = zip(*(_shift_minima(G[:, i], Wa[i], shift_pen) for i in range(s)))
+        H = _nan_to_inf(np.stack(H, axis=1) + (0.5 * spec.theta_nu * Ua * Ua
+                                               - y[:, None] * Ua))
+        # best[:, m]: the least sum of h over the scenarios after i at mass
+        # m / K; picks[i][:, m]: the first part of scenario i attaining it
+        best, picks = H[:, -1], []
+        for i in range(s - 2, -1, -1):
+            M = best[:, np.maximum(rest, 0)]
+            M[:, rest < 0] = INF
+            M += H[:, i, None, :]
+            picks.insert(0, np.argmin(M, axis=2))
+            best = M.min(axis=2)
+        A, mass = np.empty((rows.size, s), dtype=int), np.full(rows.size, K)
+        for i, pick in enumerate(picks):
+            A[:, i] = pick[at[:, 0], mass]
+            mass = mass - A[:, i]
+        A[:, -1] = mass
+        jv = np.stack(J, axis=1)[at, np.arange(s), A]
+        grid_vals = f0 + best[:, K]
+        # polish: the exact u-step at the shifted costs the program picked
+        U_step, inner = u_step_rows(spec, G[at, np.arange(s), jv], y)
+        polished = f0 + inner + shift_pen[jv].sum(axis=1)
+        better = polished < grid_vals
+        U[rows] = np.where(better[:, None], U_step, Ua[np.arange(s), A])
+        vals[rows] = np.where(better, polished, grid_vals)
+        V[rows, :, 0] = v_axis[jv]
+    return vals, U, V
 
 
 def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
@@ -785,16 +781,20 @@ def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
 
 
 def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
-                         xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """r(x) = min over u of the relaxation at every decision in xs, and a
-    minimizing u per decision, for every variant but the support one.
+                         xs: np.ndarray, v_axis: Optional[np.ndarray] = None
+                         ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """r(x) = min over the perturbation of the relaxation at every decision
+    in xs, with a minimizing u per decision and, for the support variant
+    (shifts on v_axis), a minimizing v; the v rows are None otherwise.
 
     The anchored variant is the table at program.p with the composite
     constraint applied; the simplex variants evaluate the costs only where
     f0 is finite and take the u-steps of a block of rows at once.
     """
+    if isinstance(spec, SupportPerturbation):
+        return _support_reduced_values(program, spec, xs, v_axis)
     if isinstance(spec, CompositePenalty):
-        return _composite_grid_values(program, spec, xs)
+        return (*_composite_grid_values(program, spec, xs), None)
     block = program.composite
     if isinstance(spec, ExactIndicator):
         vals = _CostTable(xs, program.f0, program.scenarios).weighted(
@@ -802,7 +802,7 @@ def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
         if block is not None:
             vals[np.any(block.expectation_table(program.p, xs) > block.b + 1e-12,
                         axis=1)] = INF
-        return vals, np.zeros((len(xs), program.s if block is None else block.m))
+        return vals, np.zeros((len(xs), program.s if block is None else block.m)), None
     f0 = _tabulate(program.f0, xs)
     keep = np.flatnonzero(f0 != INF)
     vals = np.full(len(xs), INF)
@@ -814,7 +814,7 @@ def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
         C = np.column_stack([_tabulate(f, xs[rows]) for f in program.scenarios])
         U[rows], inner = u_step_rows(spec, C, tilt)
         vals[rows] = f0[rows] + inner
-    return vals, U
+    return vals, U, None
 
 
 def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
@@ -841,13 +841,7 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
         U = np.array(simplex_grid(s, u_resolution)) - spec.p_nu
 
     xs = _grid_array(x_box, x_resolution)
-    v_axis = None
-    if isinstance(spec, SupportPerturbation):
-        if v_box is None or v_resolution is None:
-            raise ValueError("support oracle needs a v grid")
-        if spec.xi_nu.shape[1] != 1:
-            raise ValueError("support oracle handles 1-d support points only")
-        v_axis = grid_axis(v_box[0], v_box[1], v_resolution)
+    v_axis = _v_axis(spec, v_box, v_resolution)
     n_evals = len(xs) * (1 if U is None else len(U)) * (
         s * v_axis.size if v_axis is not None else 1)
     if n_evals > MAX_GRID_EVALS:
@@ -856,7 +850,7 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
     v_rows = None
     if isinstance(spec, (ExactIndicator, CompositePenalty)):
         # one perturbation per decision: the solver's own tabulation
-        x_values, u_rows = _reduced_grid_values(program, spec, xs)
+        x_values, u_rows, _ = _reduced_grid_values(program, spec, xs)
     elif isinstance(spec, SupportPerturbation):
         x_values, u_rows, v_rows = _support_grid_values(program, spec, xs, U, v_axis)
     else:

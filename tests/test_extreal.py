@@ -5,8 +5,7 @@ import pytest
 from rockrelax.extreal import (INF, CompositeBlock, ImproperFunctionError,
                                ScenarioFunction, StochasticProgram,
                                check_gradient, check_simplex, ext_add,
-                               ext_combine, ext_mul, ext_sum,
-                               weighted_objective)
+                               ext_mul, weighted_objective)
 
 
 def make_program(values, weights, f0_value=0.0):
@@ -37,15 +36,10 @@ def test_combine_total_on_all_nine_pairs():
     specials = [-INF, 1.5, INF]
     for a in specials:
         for b in specials:
-            for op in ("add", "mul"):
-                out = ext_combine(op, a, b)
+            for op in (ext_add, ext_mul):
+                out = op(a, b)
                 assert isinstance(out, float)
                 assert not np.isnan(out)
-
-
-def test_combine_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        ext_combine("sub", 1.0, 2.0)
 
 
 def test_addition_monotone_in_each_argument():
@@ -55,12 +49,6 @@ def test_addition_monotone_in_each_argument():
             for b in vals:
                 if a <= b:
                     assert ext_add(a, c) <= ext_add(b, c)
-
-
-def test_ext_sum_runs_left_to_right():
-    assert ext_sum([1.0, 2.0, 3.0]) == 6.0
-    assert ext_sum([INF, -INF]) == INF
-    assert ext_sum([]) == 0.0
 
 
 def test_zero_weight_annihilates_infinite_cost():

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from rockrelax.simplex import (GENERATOR_ID, clamp_to_simplex, in_normal_cone,
-                               normal_cone_distance, project_to_simplex,
-                               projection_threshold, sample_empirical,
-                               simplex_vertices)
+from rockrelax.simplex import (GENERATOR_ID, normal_cone_distance,
+                               project_to_simplex, projection_threshold,
+                               sample_empirical)
 
 
 def grid_projection_oracle(z, resolution):
@@ -84,14 +83,6 @@ def test_projection_threshold_recovers_tau():
     assert np.maximum(z - tau, 0.0) == pytest.approx(q, abs=1e-12)
 
 
-def test_clamp_to_simplex():
-    out = clamp_to_simplex(np.array([1.0 + 1e-13, -1e-13]))
-    assert out[1] == 0.0
-    assert out.sum() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        clamp_to_simplex(np.array([1.0, -1e-3]))
-
-
 def mu_scan_distance(q, w, mus):
     """Independent route: brute scan of the single normal-cone parameter."""
     pos = q > 0
@@ -128,7 +119,7 @@ def test_membership_iff_variational_inequality():
         q = rng.dirichlet(np.ones(s))
         w = rng.normal(size=s)
         vi_holds = np.max(w) <= float(w @ q) + 1e-9
-        assert in_normal_cone(q, w, tol=1e-6) == vi_holds or \
+        assert (normal_cone_distance(q, w) <= 1e-6) == vi_holds or \
             abs(np.max(w) - float(w @ q)) < 1e-5
 
 
@@ -159,9 +150,3 @@ def test_sampling_bit_reproducible():
 def test_sampling_validates_input():
     with pytest.raises(ValueError):
         sample_empirical(np.array([0.5, 0.5]), 0, seed=0)
-
-
-def test_simplex_vertices():
-    v = simplex_vertices(3)
-    assert v.shape == (3, 3)
-    assert np.array_equal(v, np.eye(3))

@@ -255,16 +255,6 @@ def test_solve_joint_support_variant():
     assert report.v_final is not None
 
 
-def test_solve_joint_trace_monotone():
-    # the support variant is the one that still alternates
-    bundle = build_example("ex23", 100)
-    config = SolveConfig(x_method=GridMethod(box=bundle.box, resolution=1e-2),
-                         v_box=bundle.v_box, v_resolution=bundle.v_resolution)
-    report = solve_joint(bundle.perturbed, bundle.spec, config)
-    for a, b in zip(report.trace, report.trace[1:]):
-        assert b <= a + 1e-12
-
-
 def random_nonconvex_program(rng):
     """s = 3 quadratic scenario costs a x^2 + c x + d on [-1, 1], a of either
     sign, under random base weights."""
@@ -305,6 +295,112 @@ def test_solve_joint_reaches_grid_exact_joint_minimum(seed):
     assert report.value == pytest.approx(joint, rel=1e-9, abs=1e-12)
 
 
+def random_support_program(rng):
+    """s = 2 support points under the smooth nonconvex generator
+    a sin(3z + bx) + c (z - x)^2 + dx, with random weights, penalties and
+    tilt; returns the program, the spec and the generator's array form."""
+    a, b, c, d = rng.uniform([0.5, -3.0, 0.1, -1.0], [2.0, 3.0, 1.0, 1.0])
+    gen = lambda z, x: a * np.sin(3.0 * z + b * x) + c * (z - x) ** 2 + d * x
+    xi = rng.uniform(-1.0, 1.0, size=(2, 1))
+    p = rng.dirichlet(np.ones(2))
+    spec = SupportPerturbation(p_nu=p, xi_nu=xi, theta_nu=float(rng.uniform(0.5, 2.0)),
+                               lambda_nu=float(rng.uniform(0.5, 5.0)),
+                               y_nu=rng.normal(scale=0.3, size=2))
+    scen = [ScenarioFunction(evaluate=lambda x, z=z: float(gen(z[0], x[0])))
+            for z in xi]
+    prog = StochasticProgram(f0=ScenarioFunction(evaluate=lambda x: 0.0),
+                             scenarios=scen, p=p, n=1, support=xi,
+                             generator=lambda z, x: float(gen(z[0], x[0])))
+    return prog, spec, gen
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_support_solve_reaches_exact_shift_enumeration(seed):
+    # the joint minimum over every decision, every shift pair in V^2 and the
+    # exact quadratic weight step at the shifted costs, which a point that is
+    # optimal in u alone and in (x, v) alone can miss on these
+    prog, spec, gen = random_support_program(np.random.default_rng(1300 + seed))
+    xs, vs = grid_axis(-1.0, 1.0, 5e-2), grid_axis(-1.0, 1.0, 1e-1)
+    X, V1, V2 = np.meshgrid(xs, vs, vs, indexing="ij")
+    C = np.stack([gen(spec.xi_nu[0, 0] + V1, X).ravel(),
+                  gen(spec.xi_nu[1, 0] + V2, X).ravel()], axis=1)
+    p, theta, y = spec.p_nu, spec.theta_nu, spec.tilt()
+    Q = project_rows_to_simplex(p - (C - y) / theta)
+    U = Q - p
+    exact = float(np.min(np.sum(Q * C, axis=1) + 0.5 * theta * np.sum(U * U, axis=1)
+                         - U @ y + 0.5 * spec.lambda_nu * (V1 * V1 + V2 * V2).ravel()))
+    report = solve_joint(prog, spec, SolveConfig(
+        x_method=GridMethod(box=((-1.0, 1.0),), resolution=5e-2),
+        v_box=(-1.0, 1.0), v_resolution=1e-1))
+    assert report.value == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", (10, 100, 1000))
+def test_support_solve_not_above_brute_force_oracle(nu):
+    b = build_example("ex23", nu)
+    report = solve_joint(b.perturbed, b.spec, SolveConfig(
+        x_method=GridMethod(box=b.box, resolution=1e-2),
+        v_box=b.v_box, v_resolution=b.v_resolution))
+    oracle = brute_force_oracle(b.perturbed, b.spec, 1e-2, b.box, 1e-2,
+                                v_box=b.v_box, v_resolution=b.v_resolution)
+    assert report.value <= oracle.value + 1e-12
+
+
+def test_support_reduced_values_against_oracle_per_decision():
+    # s = 3, so the min-plus program combines more than one pair; f0 is +inf
+    # above x = 0.75 and the generator +inf at shifted points above 1.3
+    calls = []
+
+    def generator(z, x):
+        calls.append(float(x[0]))
+        if z[0] > 1.3 + 1e-12:
+            return INF
+        return float(np.cos(4.0 * z[0] - 2.0 * x[0]) + (z[0] - 0.5) ** 2 * x[0])
+
+    xi = np.array([[-0.5], [0.2], [0.9]])
+    f0 = ScenarioFunction(evaluate=lambda x: INF if x[0] > 0.75 + 1e-12
+                          else 0.2 * float(x[0]))
+    scen = [ScenarioFunction(evaluate=lambda x: 0.0) for _ in xi]
+    prog = StochasticProgram(f0=f0, scenarios=scen, p=np.array([0.2, 0.5, 0.3]),
+                             n=1, support=xi, generator=generator)
+    spec = SupportPerturbation(p_nu=prog.p, xi_nu=xi, theta_nu=0.4, lambda_nu=1.5,
+                               y_nu=np.array([0.1, -0.2, 0.05]))
+    xs = _grid_array(((0.0, 1.0),), 0.1)
+    v_axis = grid_axis(-1.0, 1.0, 0.25)
+    vals, U, V = _reduced_grid_values(prog, spec, xs, v_axis)
+    finite = xs[:, 0] <= 0.75 + 1e-12
+    assert len(calls) == finite.sum() * 3 * v_axis.size
+    assert max(calls) <= 0.75 + 1e-12
+    grid = np.array(simplex_grid(3, 1e-2)) - spec.p_nu
+    want, _, _ = solver._support_grid_values(prog, spec, xs, grid, v_axis)
+    assert np.array_equal(np.isinf(vals), ~finite)
+    assert np.all(vals[finite] <= want[finite] + 1e-12)
+    for x, val, u, v in zip(xs[finite], vals[finite], U[finite], V[finite]):
+        assert val == pytest.approx(
+            eval_approx(spec, prog, PerturbationPoint(u, v), x), rel=1e-12, abs=1e-12)
+
+
+def test_support_variant_entry_errors():
+    b = build_example("ex23", 100)
+    grid = GridMethod(box=b.box, resolution=1e-2)
+    with pytest.raises(ValueError, match="grid method"):
+        solve_joint(b.perturbed, b.spec, SolveConfig(
+            x_method=ProjectedGradientMethod(box=b.box),
+            v_box=b.v_box, v_resolution=b.v_resolution))
+    with pytest.raises(ValueError, match="v_box"):
+        solve_joint(b.perturbed, b.spec, SolveConfig(x_method=grid))
+    with pytest.raises(ValueError, match="v_box"):
+        brute_force_oracle(b.perturbed, b.spec, 1e-2, b.box, 1e-2)
+    flat = SupportPerturbation(p_nu=b.spec.p_nu, xi_nu=np.zeros((2, 2)),
+                               theta_nu=1.0, lambda_nu=1.0)
+    with pytest.raises(ValueError, match="1-d"):
+        solve_joint(b.perturbed, flat, SolveConfig(
+            x_method=grid, v_box=b.v_box, v_resolution=b.v_resolution))
+    with pytest.raises(ValueError, match="1-d"):
+        brute_force_oracle(b.perturbed, flat, 1e-2, b.box, 1e-2,
+                           v_box=b.v_box, v_resolution=b.v_resolution)
+
+
 def variant_cases():
     ex21 = build_example("ex21", 100)
     p21 = ex21.spec.p_nu
@@ -340,8 +436,7 @@ def test_solve_joint_value_is_relaxation_at_reported_point():
             expect = eval_approx(spec, prog, report.u_final, report.x_final)
         assert np.isfinite(report.value), name
         assert report.value == pytest.approx(expect, rel=1e-12, abs=1e-12), name
-        if not isinstance(spec, SupportPerturbation):
-            assert report.trace == [report.value] and report.iterations == 1, name
+        assert report.trace == [report.value] and report.iterations == 1, name
         kinds.add(type(spec))
     assert len(kinds) == 6
 
@@ -415,9 +510,6 @@ def test_solve_matches_oracle_on_convex_instance():
 
 
 def test_solve_config_validation():
-    method = GridMethod(box=((0.0, 1.0),), resolution=1e-2)
-    with pytest.raises(ValueError):
-        SolveConfig(x_method=method, max_outer_iters=0)
     with pytest.raises(ValueError):
         GridMethod(box=((0.0, 1.0),), resolution=0.0)
 
@@ -567,7 +659,8 @@ def test_tabulated_reduced_objective_matches_pointwise_steps():
     xs = _grid_array(((0.0, 1.0),), 0.05)
     specs = [ExactIndicator()] + reweighting_specs(prog.p, 0.6)
     for spec in specs:
-        vals, U = _reduced_grid_values(prog, spec, xs)
+        vals, U, V = _reduced_grid_values(prog, spec, xs)
+        assert V is None
         reduced = _reduced_objective(spec, prog)
         for x, val, u in zip(xs, vals, U):
             want, want_u = reduced(x)
@@ -581,12 +674,12 @@ def test_tabulated_reduced_objective_matches_pointwise_steps():
     b = build_example("ex22", 1000)
     xs = _grid_array(b.box, 0.1)
     block = b.perturbed.composite
-    vals, U = _reduced_grid_values(b.perturbed, b.spec, xs)
+    vals, U, _ = _reduced_grid_values(b.perturbed, b.spec, xs)
     for x, val, u in zip(xs, vals, U):
         want_u, _ = composite_u_step(b.spec, block.expectation(b.spec.p_nu, x), block.b)
         assert np.array_equal(u, want_u)
         assert val == pytest.approx(eval_approx(b.spec, b.perturbed, u, x), rel=1e-12)
-    vals, _ = _reduced_grid_values(b.perturbed, ExactIndicator(), xs)
+    vals, _, _ = _reduced_grid_values(b.perturbed, ExactIndicator(), xs)
     want = [eval_exact(b.perturbed, np.zeros(1), x) for x in xs]
     assert np.array_equal(vals, want)
     assert np.isinf(vals).any() and np.isfinite(vals).any()
