@@ -21,9 +21,10 @@ class PhiFamily:
     """Convex Phi with Phi(1) = 0 and a unique minimizer at 1.
 
     ``dphi_inv`` inverts the derivative of Phi on (0, inf), elementwise on
-    arrays, with +inf beyond the range of Phi'; the reweighting step bisects
-    on it for many cost rows at once. Only the variational family, whose
-    Phi' is a step, leaves it None: its reweighting is the l1 one.
+    arrays, with +inf beyond the range of Phi'; the reweighting step needs
+    nothing else, and evaluates it for many cost rows at once while it
+    solves the dual for each row's multiplier. Only the variational family,
+    whose Phi' is a step, leaves it None: its reweighting is the l1 one.
     """
 
     tag: str

@@ -1,9 +1,10 @@
 """Joint minimization of the relaxed objective and brute-force grid oracles.
 
 Each simplex variant has an exact reweighting step (a simplex projection, a
-dual bisection, or the l1 closed form) that takes many cost rows at once,
-and the composite variant a closed-form slack step, so the solver minimizes
-the reduced objective r(x) = min_u f(u, x) over the decision alone.
+regula falsi root of the divergence dual, or the l1 closed form) that takes
+many cost rows at once, and the composite variant a closed-form slack step,
+so the solver minimizes the reduced objective r(x) = min_u f(u, x) over the
+decision alone.
 
 On a grid the solve is tabulate-then-argmin: f0 and each scenario cost are
 evaluated once per grid decision (the costs only where f0 is finite), every
@@ -150,7 +151,12 @@ def _phi_rows(fam, theta: float, p: np.ndarray, c: np.ndarray,
               face: np.ndarray) -> np.ndarray:
     """The divergence dual (Ben-Tal et al. 2013) on every row of c at once:
     q_i = p_i (Phi')^-1((mu - c_i) / theta), with one multiplier mu per row
-    found by bisection so that the row sums to one."""
+    chosen so that the row sums to one.
+
+    mu is the root of log mass(mu), which does not decrease; Anderson-Bjorck
+    regula falsi finds it on a bracket, with a bisection step wherever the
+    secant point is not finite (an end at a pole of (Phi')^-1). Under kl the
+    log mass is linear in mu, so one secant step lands on the root."""
     if fam.dphi_inv is None:
         raise ValueError(f"{fam.tag}: reweighting needs the inverse of Phi'")
     rows = np.arange(len(c))
@@ -170,7 +176,7 @@ def _phi_rows(fam, theta: float, p: np.ndarray, c: np.ndarray,
         capped = cap < INF
         capped[capped] = mass(cap[capped], c[capped], pos[capped]) < 1.0
         mu = cap.copy()
-        at = rows[~capped]  # the rows still bisecting, their costs and masks
+        at = rows[~capped]  # the rows still searching, their costs and masks
         cost, on = c[at], pos[at]
         lo = np.where(on, cost, INF).min(axis=1)
         hi = np.where(on, cost, -INF).max(axis=1)
@@ -180,25 +186,50 @@ def _phi_rows(fam, theta: float, p: np.ndarray, c: np.ndarray,
             hi[short] += span[short]
             span[short] *= 2.0
             short = short[mass(hi[short], cost[short], on[short]) < 1.0]
-        hi = np.minimum(hi, cap[at])
+        # Phi' stays below limit_slope, so mu - c_i < theta * limit_slope
+        hi = np.minimum(np.minimum(hi, cap[at]), lo + theta * fam.limit_slope)
+        f_lo = np.log(mass(lo, cost, on))
+        f_hi = np.log(mass(hi, cost, on))
+        # the point tried with the least |log mass| (always a bracket end);
+        # it is mu once it is a root or the bracket is narrow, since next to
+        # a pole of (Phi')^-1 the bracket's midpoint can be far off in mass
+        x_best = np.where(np.abs(f_hi) < np.abs(f_lo), hi, lo)
+        gap = np.minimum(np.abs(f_lo), np.abs(f_hi))
+        last_up = np.ones(len(at), dtype=bool)  # the last point tried was hi
         for _ in range(200):
+            tol = 1e-15 * np.maximum(1.0, np.abs(hi))
+            done = (gap <= 1.5e-14) | (hi - lo < tol)
+            if np.count_nonzero(done):
+                mu[at[done]] = x_best[done]
+                keep = ~done
+                at, cost, on, tol = at[keep], cost[keep], on[keep], tol[keep]
+                lo, hi, f_lo, f_hi, x_best, gap, last_up = (
+                    v[keep] for v in (lo, hi, f_lo, f_hi, x_best, gap, last_up))
             if not at.size:
                 break
-            mid = 0.5 * (lo + hi)
-            low = mass(mid, cost, on) < 1.0
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-            done = hi - lo < 1e-15 * np.maximum(1.0, np.abs(hi))
-            if done.any():
-                mu[at[done]] = 0.5 * (lo[done] + hi[done])
-                keep = ~done
-                at, cost, on, lo, hi = at[keep], cost[keep], on[keep], lo[keep], hi[keep]
+            # the secant point, kept tol/2 inside the bracket (rounding can
+            # put it on an end) so that a root next to an end closes the
+            # bracket at the next step; the midpoint where it is nan
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = np.where(np.isnan(x), 0.5 * (lo + hi),
+                         np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol))
+            f_x = np.log(mass(x, cost, on))
+            better = np.abs(f_x) < gap
+            x_best, gap = np.where(better, x, x_best), np.where(better, np.abs(f_x), gap)
+            # Anderson-Bjorck: when x replaces the same end as the point
+            # before it, the kept end's value is scaled by
+            # 1 - f(x) / f(replaced end), or by 1/2 if that is not positive
+            up = f_x > 0.0
+            m = 1.0 - f_x / np.where(up, f_hi, f_lo)
+            m = np.where(up == last_up, np.where(m > 0.0, m, 0.5), 1.0)
+            f_lo, f_hi = np.where(up, f_lo * m, f_x), np.where(up, f_x, f_hi * m)
+            lo, hi, last_up = np.where(up, lo, x), np.where(up, x, hi), up
         mu[at] = 0.5 * (lo + hi)
         t = np.minimum(fam.dphi_inv((mu[:, None] - c) / theta), 1.0 / p)
         Q = np.where(pos, np.maximum(p * t, 0.0), 0.0)
     total = Q.sum(axis=1)
     if np.any(total[~capped] <= 0):
-        raise ArithmeticError("divergence dual bisection collapsed")
+        raise ArithmeticError("divergence dual root-finding collapsed")
     Q[~capped] /= total[~capped, None]
     # a capped row's positive weights fall short of 1; the rest goes to its
     # first cheapest zero-weight scenario
@@ -239,9 +270,9 @@ def u_step_rows(spec: RockafellianSpec, C, y_nu=None
     (k, s) and the u-subproblem values (k,), with array operations.
 
     The quadratic step projects each row by sort-and-threshold, the l1 and
-    variational steps are closed forms, and the divergence steps run one
-    dual bisection for all rows together. Each row's result does not depend
-    on the other rows.
+    variational steps are closed forms, and the divergence steps find every
+    row's dual multiplier by one regula falsi search. Each row's result does
+    not depend on the other rows.
     """
     if not isinstance(spec, (QuadraticPenalty, SupportPerturbation,
                              PhiDivergencePenalty, L1Penalty)):

@@ -1,8 +1,11 @@
 """Reweighting steps, decision steps, joint solves, and grid oracles."""
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from rockrelax.divergence import FAMILIES
+from rockrelax.divergence import FAMILIES, PhiFamily
 from rockrelax.extreal import INF, ScenarioFunction, StochasticProgram
 from rockrelax.instances import build_example
 from rockrelax.rockafellian import (ExactIndicator, L1Penalty,
@@ -593,6 +596,149 @@ def test_batched_u_step_with_zero_base_weight(spec):
 def test_batched_u_step_without_penalty(spec):
     _, vals = assert_rows_are_one_row_steps(spec, COST_ROWS)
     assert_matches_grid_oracle(spec, COST_ROWS[3], vals[3])
+
+
+def reference_phi_rows(fam, theta, p, c, face, nudge=0.0):
+    """The divergence dual by plain bisection on the multiplier: the loop the
+    regula falsi step replaced, with the same bracket and 1e-15 tolerance.
+    ``nudge`` moves each searched row's multiplier by that many half-widths
+    of its stopping tolerance."""
+    rows = np.arange(len(c))
+    pos = face & (p > 0.0)
+    zero_cost = np.where(face & ~pos, c + theta * fam.limit_slope, INF)
+    cap = zero_cost.min(axis=1)
+
+    def mass(mu, cost, on):
+        return np.where(on, p * fam.dphi_inv((mu[:, None] - cost) / theta),
+                        0.0).sum(axis=1)
+
+    with np.errstate(all="ignore"):
+        capped = cap < INF
+        capped[capped] = mass(cap[capped], c[capped], pos[capped]) < 1.0
+        mu = cap.copy()
+        at = rows[~capped]
+        cost, on = c[at], pos[at]
+        lo = np.where(on, cost, INF).min(axis=1)
+        hi = np.where(on, cost, -INF).max(axis=1)
+        span = np.maximum(1.0, hi - lo)
+        short = np.flatnonzero(mass(hi, cost, on) < 1.0)
+        while short.size:
+            hi[short] += span[short]
+            span[short] *= 2.0
+            short = short[mass(hi[short], cost[short], on[short]) < 1.0]
+        hi = np.minimum(hi, cap[at])
+        for _ in range(200):
+            if not at.size:
+                break
+            mid = 0.5 * (lo + hi)
+            low = mass(mid, cost, on) < 1.0
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+            done = hi - lo < 1e-15 * np.maximum(1.0, np.abs(hi))
+            if done.any():
+                mu[at[done]] = 0.5 * (lo[done] + hi[done])
+                keep = ~done
+                at, cost, on, lo, hi = at[keep], cost[keep], on[keep], lo[keep], hi[keep]
+        mu[at] = 0.5 * (lo + hi)
+        mu[~capped] += nudge * 0.5e-15 * np.maximum(1.0, np.abs(mu[~capped]))
+        t = np.minimum(fam.dphi_inv((mu[:, None] - c) / theta), 1.0 / p)
+        Q = np.where(pos, np.maximum(p * t, 0.0), 0.0)
+    total = Q.sum(axis=1)
+    Q[~capped] /= total[~capped, None]
+    Q[rows[capped], np.argmin(zero_cost[capped], axis=1)] = 1.0 - total[capped]
+    return Q
+
+
+#: the families whose u-step solves the divergence dual, and a user-defined
+#: one that gives only (Phi')^-1: Phi = 2 kl, so (Phi')^-1(z) = exp(z / 2)
+DUAL_FAMILIES = [fam for _, fam in sorted(FAMILIES.items()) if fam.dphi_inv] + [
+    PhiFamily("2kl", lambda t: 2.0 * FAMILIES["kl"].phi(t), INF,
+              dphi_inv=lambda z: np.exp(np.minimum(z, 1400.0) / 2.0))]
+
+
+def counted(fam):
+    """fam with a (Phi')^-1 that appends to the returned list at each call."""
+    evals = []
+
+    def counting(z):
+        evals.append(1)
+        return fam.dphi_inv(z)
+
+    return dataclasses.replace(fam, dphi_inv=counting), evals
+
+
+def seeded_dual_cases():
+    """(p, theta, C) for s in (1, 2, 4, 24, 64) and five thetas from 0.05 to
+    10: base weights drawn as the benchmark draws them (each at least
+    1/(2s)), the same with a third of them set to zero (capped under a
+    finite limit_slope, excluded under an infinite one), and one weight 1.
+    C has six rows with cost spreads from 1e-2 to 1e3; row 1 holds one +inf."""
+    rng = np.random.default_rng(2013)
+    for s in (1, 2, 4, 24, 64):
+        for theta in (0.05, 0.3, 1.0, 2.0, 10.0):
+            p = 0.5 / s + 0.5 * rng.dirichlet(np.ones(s))
+            zero = p.copy()
+            zero[rng.permutation(s)[:(s + 1) // 3]] = 0.0
+            one = np.zeros(s)
+            one[rng.integers(s)] = 1.0
+            for base in (p / p.sum(), zero / zero.sum(), one):
+                C = rng.uniform(-0.5, 0.5, (6, s)) * 10.0 ** rng.uniform(-2, 3, (6, 1))
+                C[1, rng.integers(s)] = INF
+                yield base, theta, C
+
+
+@pytest.mark.parametrize("fam", DUAL_FAMILIES, ids=lambda fam: fam.tag)
+def test_divergence_step_matches_reference_bisection(fam, monkeypatch):
+    for p, theta, C in seeded_dual_cases():
+        spec = PhiDivergencePenalty(p_nu=p, theta_nu=theta, family=fam)
+        U, vals = u_step_rows(spec, C)
+        refs = []
+        for nudge in (0.0, -1.0, 1.0):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_phi_rows",
+                              functools.partial(reference_phi_rows, nudge=nudge))
+                refs.append(u_step_rows(spec, C))
+        vals_ref = refs[0][1]
+        case = (p.size, theta, p.max())
+        assert np.array_equal(np.isfinite(vals), np.isfinite(vals_ref)), case
+        finite = np.isfinite(vals_ref)
+        # relative to max(1, |value|): a value near 0 is a sum of far larger
+        # terms, and rounds in their last place
+        np.testing.assert_allclose(vals[finite], vals_ref[finite], rtol=1e-12,
+                                   atol=1e-12, err_msg=str(case))
+        # the reference fixes its multiplier only to within its stopping
+        # width, and next to a pole of (Phi')^-1 its weights move by more
+        # than 1e-10 across that width: they must agree to 1e-10 beyond it
+        low = np.minimum.reduce([U_ref for U_ref, _ in refs])
+        high = np.maximum.reduce([U_ref for U_ref, _ in refs])
+        assert np.all(U >= low - 1e-10) and np.all(U <= high + 1e-10), case
+
+
+@pytest.mark.parametrize("fam", DUAL_FAMILIES, ids=lambda fam: fam.tag)
+def test_divergence_step_evaluation_count(fam):
+    # the reference bisection takes about 56 evaluations per call here
+    family, evals = counted(fam)
+    steps = 0
+    for p, theta, C in seeded_dual_cases():
+        before = len(evals)
+        u_step_rows(PhiDivergencePenalty(p_nu=p, theta_nu=theta, family=family), C)
+        steps += len(evals) > before
+    assert len(evals) / steps <= 20.0
+
+
+@pytest.mark.parametrize("costs, theta", [([0.0, -1250.0], 2.0),
+                                          ([1000.0, 0.0, -1000.0], 0.05),
+                                          ([1246.0, 1000.0], 1.0)])
+def test_kl_step_when_the_secant_point_rounds_onto_an_end(costs, theta):
+    # at |mu| near 1e3 the last secant correction can be below half an ulp
+    # of mu, so the secant point rounds onto the bracket's end; it must not
+    # start a run of bisections from the far end (about 50 evaluations)
+    family, evals = counted(FAMILIES["kl"])
+    c = np.array(costs)
+    p = np.full(c.size, 1.0 / c.size)
+    u, _ = u_step(PhiDivergencePenalty(p_nu=p, theta_nu=theta, family=family), c)
+    closed = np.exp(-(c - c.min()) / theta)  # kl's weights are p exp(-c/theta), scaled
+    assert np.allclose(p + u, closed / closed.sum(), rtol=0.0, atol=1e-12)
+    assert len(evals) <= 10
 
 
 def test_projected_gradient_takes_one_u_step_per_evaluated_point(monkeypatch):
