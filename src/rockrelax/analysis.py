@@ -216,10 +216,11 @@ def optimality_residual(program: StochasticProgram, spec: QuadraticPenalty,
                         ) -> ResidualReport:
     """First-order residual of the quadratic-penalty relaxation at (u, x).
 
-    Block one measures how far y - F(x) - theta u lies from the simplex
-    normal cone at p + u; block two measures stationarity in the decision,
-    using declared scenario gradients. An indicator f0 is supported through
-    a caller-supplied normal-cone distance oracle.
+    Block one is the exact distance from y - F(x) - theta u to the simplex
+    normal cone at p + u (`normal_cone_distance`, in closed form by
+    sorting); block two measures stationarity in the decision, using
+    declared scenario gradients. An indicator f0 is supported through a
+    caller-supplied normal-cone distance oracle.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -284,13 +285,11 @@ def epi_distance_estimate(fn_a: Callable[[np.ndarray], float],
                 continue
             dist_x = np.linalg.norm(arr - arr[k][None, :], axis=1)
             gap = vb - va[k]
+            keep = gap != INF
             eta_k = INF
-            for dx, gp in zip(dist_x, gap):
-                if gp == INF:
-                    continue
-                cand = max(dx, gp, 0.0)
-                if cand < eta_k:
-                    eta_k = cand
+            if keep.any():
+                # fmax, like max(dx, gap, 0.0), passes over a nan gap
+                eta_k = np.fmax(np.fmax(dist_x[keep], gap[keep]), 0.0).min()
             worst = max(worst, eta_k)
         return worst
 

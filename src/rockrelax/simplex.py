@@ -6,7 +6,6 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .extreal import check_simplex
 
@@ -45,28 +44,30 @@ def projection_threshold(z, q) -> float:
     return float(np.mean(z[pos] - q[pos]))
 
 
-def normal_cone_distance(q, w, tol: float = 1e-10) -> float:
+def normal_cone_distance(q, w) -> float:
     """Distance from w to the normal cone of the simplex at q.
 
-    N(q) = {v : v_i = mu on the support of q, v_i <= mu off it}; the squared
-    distance is a smooth convex function of the single scalar mu.
+    N(q) = {v : v_i = mu on the support of q, v_i <= mu off it}, so the
+    squared distance is min over mu of the convex piecewise quadratic
+    g(mu) = sum_{q_i>0} (w_i - mu)^2 + sum_{q_i=0} max(0, w_i - mu)^2.
+    Its exact minimizer is the mean of the support entries and the
+    off-support entries above it. Sorting the off-support entries in
+    descending order gives the candidate means mu_k over the top k of them;
+    the first mu_k that the (k+1)-th entry does not exceed is the minimizer,
+    as for the threshold of the simplex projection (Duchi et al. 2008).
     """
     q = check_simplex(q)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.size != q.size:
         raise ValueError("dimension mismatch")
     pos = q > 0
-
-    def sq_dist(mu: float) -> float:
-        d = np.sum((w[pos] - mu) ** 2)
-        d += np.sum(np.maximum(w[~pos] - mu, 0.0) ** 2)
-        return d
-
-    lo = float(w.min()) - 1.0
-    hi = float(w.max()) + 1.0
-    res = minimize_scalar(sq_dist, bounds=(lo, hi), method="bounded",
-                          options={"xatol": tol * 1e-2})
-    return float(np.sqrt(max(res.fun, 0.0)))
+    on, off = w[pos], w[~pos]
+    top = np.sort(off)[::-1]
+    sums = on.sum() + np.concatenate(([0.0], np.cumsum(top)))
+    mus = sums / np.arange(on.size, w.size + 1)
+    mu = mus[np.argmax(np.append(top, -np.inf) <= mus)]
+    d = np.sum((on - mu) ** 2) + np.sum(np.maximum(off - mu, 0.0) ** 2)
+    return float(np.sqrt(d))
 
 
 def simplex_grid(s: int, resolution: float, center: Optional[np.ndarray] = None,

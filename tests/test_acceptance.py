@@ -292,7 +292,8 @@ def test_criterion_8_residuals_small_and_nonincreasing():
         assert rep.total <= 1e-6
         residuals.append(rep.total)
     # compare above the declared numerical floor: values around 1e-12 are
-    # dominated by the scalar normal-cone search tolerance
+    # rounding in the u-step and the point where projected gradient stops
+    # in x, not a trend in nu
     floored = [max(r, 1e-9) for r in residuals]
     for a, b in zip(floored, floored[1:]):
         assert b <= a

@@ -257,6 +257,58 @@ def test_epi_distance_decreasing_along_refinement():
     assert estimates[0] >= estimates[1] >= estimates[2]
 
 
+def loop_epi_distance(fn_a, fn_b, rho, grid):
+    """Reference: the element-by-element scan that the array form replaced."""
+    pts = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grid]
+    pts = [g for g in pts if float(np.linalg.norm(g)) <= rho + 1e-12]
+    vals_a = np.array([fn_a(g) for g in pts])
+    vals_b = np.array([fn_b(g) for g in pts])
+    arr = np.array(pts)
+
+    def one_way(va, vb):
+        worst = 0.0
+        for k in range(len(pts)):
+            if va[k] > rho:
+                continue
+            dist_x = np.linalg.norm(arr - arr[k][None, :], axis=1)
+            gap = vb - va[k]
+            eta_k = INF
+            for dx, gp in zip(dist_x, gap):
+                if gp == INF:
+                    continue
+                cand = max(dx, gp, 0.0)
+                if cand < eta_k:
+                    eta_k = cand
+            worst = max(worst, eta_k)
+        return worst
+
+    return float(max(one_way(vals_a, vals_b), one_way(vals_b, vals_a)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_epi_distance_bit_identical_to_loop(seed):
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(1, 3))
+    grid = list(rng.uniform(-1.2, 1.2, size=(60, n)))
+    table_a, table_b = rng.normal(size=60) * 0.8, rng.normal(size=60) * 0.8
+    # +inf values, values beyond the cutoff rho, and -inf on both sides,
+    # which makes some gaps +inf and some nan
+    table_a[rng.random(60) < 0.2] = INF
+    table_b[rng.random(60) < 0.2] = INF
+    table_a[rng.random(60) < 0.1] = 2.5
+    table_a[rng.random(60) < 0.05] = -INF
+    table_b[rng.random(60) < 0.05] = -INF
+    if seed == 0:
+        table_b[:] = INF  # every gap infinite: the estimate is +inf
+    lookup = {tuple(g): i for i, g in enumerate(grid)}
+    fn_a = lambda x: float(table_a[lookup[tuple(x)]])
+    fn_b = lambda x: float(table_b[lookup[tuple(x)]])
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) gaps are nan
+        est, _ = epi_distance_estimate(fn_a, fn_b, 1.0, grid)
+        ref = loop_epi_distance(fn_a, fn_b, 1.0, grid)
+    assert np.float64(est).tobytes() == np.float64(ref).tobytes()
+
+
 def test_epi_distance_input_validation():
     with pytest.raises(ValueError):
         epi_distance_estimate(lambda x: 0.0, lambda x: 0.0, 1.0,
