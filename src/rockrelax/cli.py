@@ -3,13 +3,11 @@ relaxed formulations, and writes CSV/JSON/plotdata reports."""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -17,10 +15,8 @@ import numpy as np
 
 from .analysis import (RateCertificate, eta_bound, optimality_residual,
                        rate_constants, theta_schedule)
-from .extreal import INF
 from .instances import ExampleBundle, BUILTIN_NAMES, build_example
-from .rockafellian import (CompositePenalty, ExactIndicator, QuadraticPenalty,
-                           SupportPerturbation)
+from .rockafellian import ExactIndicator, QuadraticPenalty
 from .simplex import GENERATOR_ID
 from .solver import (GridMethod, SolveConfig, brute_force_oracle, solve_joint)
 
@@ -264,27 +260,9 @@ def emit_report(plan: ExperimentPlan, rows: Sequence[RowResult]) -> List[Path]:
 
 def run(plan: ExperimentPlan) -> int:
     """Execute the plan; 0 on success, 2 when a certified check failed."""
-    threads = 1
-    env = os.environ.get("ROCKRELAX_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer ROCKRELAX_THREADS={env!r}",
-                  file=sys.stderr)
     # every scale's instance is built, and its config checked, before any solve
     bundles = [_bundle_for(plan, nu) for nu in plan.nus]
-    results: List[Optional[List[RowResult]]] = [None] * len(plan.nus)
-    if threads == 1:
-        for i, bundle in enumerate(bundles):
-            results[i] = _solve_nu(plan, bundle)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_solve_nu, plan, bundle): i
-                       for i, bundle in enumerate(bundles)}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    rows = [r for chunk in results for r in chunk]
+    rows = [r for bundle in bundles for r in _solve_nu(plan, bundle)]
     emit_report(plan, rows)
     if any(r.failed for r in rows):
         return 2

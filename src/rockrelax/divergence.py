@@ -138,8 +138,10 @@ def phi_divergence_rows(family: PhiFamily, Q: np.ndarray, q_base: np.ndarray
     pos = q_base > 0.0
     with np.errstate(invalid="ignore"):
         terms = np.where(Q == 0.0, 0.0, Q * family.limit_slope)
-    terms[:, pos] = q_base[pos] * np.vectorize(family.phi, otypes=[float])(
-        Q[:, pos] / q_base[pos])
+    ratios = Q[:, pos] / q_base[pos]
+    terms[:, pos] = q_base[pos] * np.fromiter(
+        map(family.phi, ratios.ravel().tolist()), dtype=float,
+        count=ratios.size).reshape(ratios.shape)
     total = np.zeros(len(Q))
     for i in range(Q.shape[1]):
         total += terms[:, i]

@@ -55,7 +55,6 @@ class ScenarioFunction:
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    smooth: bool = False
     gradient_domain: Optional[Callable[[np.ndarray], bool]] = None
     evaluate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -130,6 +129,8 @@ def check_simplex(p, atol: float = SIMPLEX_ATOL) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be a nonempty 1-d array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"probability vector has a non-finite entry: {p}")
     if np.any(p < -atol):
         raise ValueError(f"negative probability component: min={p.min()}")
     if abs(p.sum() - 1.0) > max(atol, 1e-12 * p.size):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -18,9 +18,6 @@ from .simplex import sample_empirical
 #: slack for the step function's strict inequality so grid-generated shifts
 #: that should cancel an argument exactly are not defeated by rounding
 HEAVISIDE_ATOL = 1e-9
-
-#: catalog tags whose evaluators carry no usable gradient anywhere
-GRADIENT_FREE_TAGS = frozenset({"heaviside-composite", "indicator-box"})
 
 
 def heaviside(gamma: float) -> float:
@@ -52,7 +49,7 @@ def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
         if c.size != n:
             raise ValueError("linear coefficient length mismatch")
         return _rowwise(lambda x: (c * x).sum(axis=-1) + d,
-                        gradient=lambda x: c.copy(), smooth=True)
+                        gradient=lambda x: c.copy())
     if tag == "quadratic":
         a = np.asarray(params.get("a", np.ones(n)), dtype=float)
         c = np.asarray(params.get("c", np.zeros(n)), dtype=float)
@@ -61,7 +58,7 @@ def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
             raise ValueError("quadratic coefficient length mismatch")
         return _rowwise(
             lambda x: (a * (x * x)).sum(axis=-1) + (c * x).sum(axis=-1) + d,
-            gradient=lambda x: 2.0 * a * x + c, smooth=True)
+            gradient=lambda x: 2.0 * a * x + c)
     if tag == "hinge":
         feat = np.asarray(params["feature"], dtype=float)
         label = float(params["label"])
@@ -102,7 +99,7 @@ def make_scenario(tag: str, params: Dict[str, Any], n: int) -> ScenarioFunction:
             z = -label * float(feat @ x)
             return -label * feat / (1.0 + math.exp(-z))
 
-        return _rowwise(ce, gradient=ce_grad, smooth=True)
+        return _rowwise(ce, gradient=ce_grad)
     raise ValueError(f"unknown catalog tag {tag!r}")
 
 
@@ -199,7 +196,7 @@ def build_from_config(config: Dict[str, Any]) -> InstanceDef:
                                config["f0"].get("params", {}), n)
         else:
             f0 = _rowwise(lambda x: np.zeros(x.shape[:-1]),
-                          gradient=lambda x: np.zeros(n), smooth=True)
+                          gradient=lambda x: np.zeros(n))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"config field scenarios: {exc}") from None
     composite = None
@@ -252,17 +249,6 @@ def perturbed_weights(defn: InstanceDef, nu: int, seed: int = 0) -> np.ndarray:
     raise ConfigError(f"unknown perturbation kind {kind!r}")
 
 
-def check_method_compatibility(tags: Sequence[str], method) -> None:
-    """Gradient-based decision steps are rejected on step-function catalogs."""
-    from .solver import ProjectedGradientMethod
-    if isinstance(method, ProjectedGradientMethod):
-        bad = [t for t in tags if t in GRADIENT_FREE_TAGS]
-        if bad:
-            raise ConfigError(
-                f"tags {bad} have no declared gradients anywhere; "
-                "use the grid method for these scenarios")
-
-
 @dataclass(frozen=True)
 class ExampleBundle:
     """A built-in example at one perturbation scale."""
@@ -285,7 +271,7 @@ def _build_ex21(nu: int) -> ExampleBundle:
     # one decision on [0, 1]; scenario costs xi*x + (1 - x)/2 on support {0, nu}
     def cost(xi: float) -> ScenarioFunction:
         return _rowwise(lambda x: xi * x[..., 0] + 0.5 * (1.0 - x[..., 0]),
-                        gradient=lambda x: np.array([xi - 0.5]), smooth=True)
+                        gradient=lambda x: np.array([xi - 0.5]))
 
     f0 = _box_indicator(0.0, 1.0)
     scenarios = [cost(0.0), cost(float(nu))]
@@ -306,7 +292,7 @@ def _build_ex22(nu: int, zbar_mode: str = "perturbed",
     p = np.array([0.5, 0.5, 0.0])
     p_nu = np.array([0.5, 0.5 - 1.0 / nu, 1.0 / nu])
     f0 = _rowwise(lambda x: x[..., 0] ** 2,
-                  gradient=lambda x: np.array([2.0 * x[0], 0.0]), smooth=True)
+                  gradient=lambda x: np.array([2.0 * x[0], 0.0]))
     scenarios = [make_scenario("hinge", {"feature": [xv], "label": yv}, 2)
                  for xv, yv, _ in points]
 

@@ -19,6 +19,7 @@ evaluates. Grid oracles provide ground truth on small instances.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -27,15 +28,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .divergence import phi_divergence_rows
 from .extreal import (INF, ScenarioFunction, StochasticProgram, ext_add,
-                      ext_mul, weighted_objective)
-from .rockafellian import (CompositePenalty, ExactIndicator, L1Penalty,
-                           PerturbationPoint, PhiDivergencePenalty,
-                           QuadraticPenalty, RockafellianSpec,
-                           SupportPerturbation, _in_simplex, _support_sum,
-                           eval_approx, eval_exact, support_cost,
-                           weight_penalty)
+                      weighted_objective)
+from .rockafellian import (CompositePenalty, ExactIndicator, PerturbationPoint,
+                           RockafellianSpec, SimplexPenalty,
+                           SupportPerturbation, _violates, eval_exact)
 from .simplex import project_rows_to_simplex, simplex_grid
 
 MAX_GRID_EVALS = 10 ** 8
@@ -62,8 +59,9 @@ class GridMethod:
     resolution: float
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be finite and positive, "
+                             f"got {self.resolution!r}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +128,25 @@ def _checked_costs(costs) -> np.ndarray:
     return costs
 
 
-def u_subproblem_value(spec: RockafellianSpec, costs, y_nu, u) -> float:
-    """The u-dependent part of the relaxed objective at fixed x.
-
-    Sum of (p + u)_i costs_i plus the variant's penalty minus <y, u>;
-    infinite costs on zero-weight coordinates contribute nothing.
-    """
+def u_subproblem_rows(spec: SimplexPenalty, costs, y_nu, U) -> np.ndarray:
+    """The u-dependent part of the relaxed objective at fixed x, at each row
+    u of U: sum of (p + u)_i costs_i, added in scenario order, plus the
+    variant's penalty minus <y, u>; infinite costs on zero-weight
+    coordinates contribute nothing."""
     costs = _checked_costs(np.atleast_1d(costs))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    y = np.zeros(u.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
-    q = spec.p_nu + u
-    total = 0.0
-    for qi, ci in zip(q, costs):
-        total = ext_add(total, ext_mul(qi, ci))
-    pen = weight_penalty(spec, u, np.maximum(q, 0.0))
-    return ext_add(ext_add(total, pen), -float(y @ u))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    y = np.zeros(U.shape[1]) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
+    Q = spec.p_nu + U
+    total = np.zeros(len(U))
+    with np.errstate(invalid="ignore"):
+        for q, c in zip(Q.T, costs):
+            total += np.where(q == 0.0, 0.0, q * c)
+    return total + spec.penalty_rows(U) - U @ y
+
+
+def u_subproblem_value(spec: SimplexPenalty, costs, y_nu, u) -> float:
+    """``u_subproblem_rows`` at the one perturbation u."""
+    return float(u_subproblem_rows(spec, costs, y_nu, np.atleast_1d(u)[None, :])[0])
 
 
 def _phi_rows(fam, theta: float, p: np.ndarray, c: np.ndarray,
@@ -252,40 +254,37 @@ def _l1_rows(p: np.ndarray, c: np.ndarray, face: np.ndarray,
     return Q
 
 
-def _penalty_rows(spec: RockafellianSpec, U: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """``weight_penalty`` at each row of U (weights Q); its numpy sums may
-    round differently from the scalar one in the last place."""
-    if isinstance(spec, L1Penalty):
-        return spec.theta * np.abs(U).sum(axis=1)
-    if isinstance(spec, PhiDivergencePenalty):
-        if spec.theta_nu == 0.0:
-            return np.zeros(len(U))  # 0 * inf = 0
-        return spec.theta_nu * phi_divergence_rows(spec.family, Q, spec.p_nu)
-    return 0.5 * spec.theta_nu * (U * U).sum(axis=1)
+#: each simplex variant's exact weight step (its ``row_step``) at every row
+#: of the tilted costs c, which are +inf off the face
+_ROW_STEPS = {
+    "argmin": lambda spec, c, face: np.eye(c.shape[1])[np.argmin(c, axis=1)],
+    "projection": lambda spec, c, face: project_rows_to_simplex(
+        spec.p_nu - c / spec.theta_nu),
+    "phi": lambda spec, c, face: _phi_rows(spec.family, spec.theta_nu,
+                                           spec.p_nu, c, face),
+    "l1": lambda spec, c, face: _l1_rows(spec.p_nu, c, face, spec.theta_nu),
+}
 
 
-def u_step_rows(spec: RockafellianSpec, C, y_nu=None
+def u_step_rows(spec: SimplexPenalty, C, y_nu=None
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """``u_step`` at every row of the (k, s) cost array C: the minimizers
     (k, s) and the u-subproblem values (k,), with array operations.
 
-    The quadratic step projects each row by sort-and-threshold, the l1 and
-    variational steps are closed forms, and the divergence steps find every
-    row's dual multiplier by one regula falsi search. Each row's result does
-    not depend on the other rows.
+    The spec names its step: the quadratic one projects each row by
+    sort-and-threshold, the l1 and variational steps are closed forms, and
+    the divergence steps find every row's dual multiplier by one regula
+    falsi search. Each row's result does not depend on the other rows.
     """
-    if not isinstance(spec, (QuadraticPenalty, SupportPerturbation,
-                             PhiDivergencePenalty, L1Penalty)):
+    if not isinstance(spec, SimplexPenalty):
         raise TypeError(f"{type(spec).__name__} has no simplex reweighting step")
     C = _checked_costs(C)
     p = spec.p_nu
     if C.ndim != 2 or C.shape[1] != p.size:
         raise ValueError("cost vector length mismatch")
     y = np.zeros(p.size) if y_nu is None else np.atleast_1d(np.asarray(y_nu, float))
-    theta = spec.theta if isinstance(spec, L1Penalty) else spec.theta_nu
-    phi = isinstance(spec, PhiDivergencePenalty)
     face = np.isfinite(C)
-    if phi and theta > 0.0 and spec.family.limit_slope == INF:
+    if spec.drops_zero_weights:
         # any mass on a zero base weight costs +inf under these families
         face &= p > 0.0
     live = face.any(axis=1)
@@ -296,26 +295,14 @@ def u_step_rows(spec: RockafellianSpec, C, y_nu=None
             U[live], vals[live] = u_step_rows(spec, C[live], y)
         return U, vals
     c = np.where(face, C - y, INF)  # +inf off the face
-    if isinstance(spec, L1Penalty) or (phi and theta > 0.0
-                                       and spec.family.tag == "variational"):
-        # sum p_i |q_i/p_i - 1| = |u|_1 (a zero base weight adds q_i = |u_i|),
-        # so the variational subproblem is exactly the l1 one at strength theta
-        Q = _l1_rows(p, c, face, theta)
-    elif theta == 0.0:
-        Q = np.zeros_like(c)
-        Q[np.arange(len(c)), np.argmin(c, axis=1)] = 1.0
-    elif phi:
-        Q = _phi_rows(spec.family, theta, p, c, face)
-    else:
-        Q = project_rows_to_simplex(p - c / theta)
-    # the value as u_subproblem_value forms it: (p + u)_i C_i added in
+    Q = _ROW_STEPS[spec.row_step](spec, c, face)
+    # the value as u_subproblem_rows forms it: (p + u)_i C_i added in
     # scenario order with 0 * inf = 0, then the penalty, then -<y, u>
     U = Q - p
     W = p + U
     with np.errstate(invalid="ignore"):
         total = np.where(W == 0.0, 0.0, W * C).sum(axis=1)
-    return U, (total + _penalty_rows(spec, U, np.maximum(W, 0.0))
-               - (U * y).sum(axis=1))
+    return U, total + spec.penalty_rows(U) - (U * y).sum(axis=1)
 
 
 def u_step(spec: RockafellianSpec, costs, y_nu=None) -> Tuple[np.ndarray, float]:
@@ -341,12 +328,11 @@ def composite_u_step(spec: CompositePenalty, expectation, bound,
     """
     if spec.theta_nu <= 0:
         raise ValueError("composite variant needs theta_nu > 0")
-    ev = np.atleast_1d(np.asarray(expectation, dtype=float))
-    b = np.atleast_1d(np.asarray(bound, dtype=float))
-    y = spec.tilt_m(ev.size) if y_nu is None \
-        else np.atleast_1d(np.asarray(y_nu, float))
-    u = np.minimum(y / spec.theta_nu, b - ev)
-    return u, 0.5 * spec.theta_nu * float(u @ u) - float(y @ u)
+    if y_nu is not None:
+        spec = dataclasses.replace(spec, y_nu=y_nu)
+    U, vals = spec.slack_rows(0.0, np.atleast_2d(np.asarray(expectation, dtype=float)),
+                              np.atleast_1d(np.asarray(bound, dtype=float)))
+    return U[0], float(vals[0])
 
 
 def u_step_grid_oracle(spec: RockafellianSpec, costs, y_nu=None,
@@ -364,12 +350,12 @@ def u_step_grid_oracle(spec: RockafellianSpec, costs, y_nu=None,
     best_v = u_subproblem_value(spec, costs, y_nu, best_u)
     center = spec.p_nu.copy()
     for resolution, radius in stages:
-        pts = simplex_grid(s, resolution,
-                           center=None if radius is None else center,
-                           radius=radius)
-        for q in pts:
-            u = q - spec.p_nu
-            v = u_subproblem_value(spec, costs, y_nu, u)
+        U = np.array(simplex_grid(s, resolution,
+                                  center=None if radius is None else center,
+                                  radius=radius)).reshape(-1, s) - spec.p_nu
+        # every point scored at once, then taken in grid order: an incumbent
+        # gives way only to a strict improvement beyond a relative 1e-15
+        for u, v in zip(U, u_subproblem_rows(spec, costs, y_nu, U).tolist()):
             margin = 0.0 if best_v == INF else 1e-15 * max(1.0, abs(best_v))
             if v < best_v - margin:
                 best_v = v
@@ -384,51 +370,44 @@ def _project_box(x: np.ndarray, box) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def x_step(objective: Callable[[np.ndarray], float], method: XMethod,
+def x_step(objective: Callable[[np.ndarray], float],
+           method: ProjectedGradientMethod,
            gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
            x0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, float]:
-    """Minimize the objective over the method's box.
-
-    The grid method handles discontinuous and extended-real objectives;
-    projected gradient needs a gradient callable and a start point.
+    """Minimize the objective over the method's box by projected gradient,
+    from x0 or the box's centre; it needs a gradient callable. (On a grid
+    ``solve_joint`` tabulates the objective itself.)
     """
-    if isinstance(method, GridMethod):
-        xs = _grid_array(method.box, method.resolution)
-        vals = _tabulate(objective, xs)
-        ix = _grid_argmin(vals, "no finite grid point in the box")
-        return xs[ix].copy(), float(vals[ix])
-
-    if isinstance(method, ProjectedGradientMethod):
-        if gradient is None:
-            raise ValueError("projected gradient needs a gradient callable")
-        x = np.array([0.5 * (lo + hi) for lo, hi in method.box]) if x0 is None \
-            else np.asarray(x0, dtype=float).copy()
-        x = _project_box(x, method.box)
-        fx = objective(x)
-        if fx == INF:
-            raise InfeasibleAtResolution("infinite objective at the start point")
-        step = 1.0
-        for _ in range(method.iters):
-            g = gradient(x)
-            moved = False
-            t = step
-            for _ in range(60):
-                cand = _project_box(x - t * g, method.box)
-                fc = objective(cand)
-                drop = float(g @ (x - cand))
-                if fc <= fx - 0.5 * drop and fc < fx:
-                    x, fx = cand, fc
-                    step = min(t * 2.0, 1e6)
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
+    if not isinstance(method, ProjectedGradientMethod):
+        raise TypeError(f"unknown x method {type(method)!r}")
+    if gradient is None:
+        raise ValueError("projected gradient needs a gradient callable")
+    x = np.array([0.5 * (lo + hi) for lo, hi in method.box]) if x0 is None \
+        else np.asarray(x0, dtype=float).copy()
+    x = _project_box(x, method.box)
+    fx = objective(x)
+    if fx == INF:
+        raise InfeasibleAtResolution("infinite objective at the start point")
+    step = 1.0
+    for _ in range(method.iters):
+        g = gradient(x)
+        moved = False
+        t = step
+        for _ in range(60):
+            cand = _project_box(x - t * g, method.box)
+            fc = objective(cand)
+            drop = float(g @ (x - cand))
+            if fc <= fx - 0.5 * drop and fc < fx:
+                x, fx = cand, fc
+                step = min(t * 2.0, 1e6)
+                moved = True
                 break
-            if float(np.linalg.norm(_project_box(x - g, method.box) - x)) < method.tol:
-                break
-        return x, fx
-
-    raise TypeError(f"unknown x method {type(method)!r}")
+            t *= 0.5
+        if not moved:
+            break
+        if float(np.linalg.norm(_project_box(x - g, method.box) - x)) < method.tol:
+            break
+    return x, fx
 
 
 Reduced = Callable[[np.ndarray], Tuple[float, Optional[np.ndarray]]]
@@ -442,7 +421,7 @@ def _reduced_objective(spec: RockafellianSpec, program: StochasticProgram) -> Re
     eliminated; the u is None where the value is +inf.
     """
     if isinstance(spec, ExactIndicator):
-        u0 = np.zeros(program.s if program.composite is None else program.composite.m)
+        u0 = np.zeros(spec.perturbation_size(program))
         return lambda x: (eval_exact(program, u0, x), u0)
     tilt = spec.tilt()
 
@@ -488,8 +467,7 @@ def _danskin_gradient(spec: RockafellianSpec, program: StochasticProgram,
     quadratic and strictly convex divergence penalties."""
 
     def grad(x: np.ndarray) -> np.ndarray:
-        q = program.p if isinstance(spec, ExactIndicator) \
-            else spec.p_nu + reduced.keep(x)[1]
+        q = spec.weights(program, reduced.keep(x)[1])
         g = program.f0.grad(x)
         for qi, f in zip(q, program.scenarios):
             if qi != 0.0:
@@ -500,15 +478,11 @@ def _danskin_gradient(spec: RockafellianSpec, program: StochasticProgram,
 
 
 def plain_objective(spec, program: StochasticProgram, u, x, v=None) -> float:
-    """Reweighted expectation at the final point, without penalty or tilt."""
-    if isinstance(spec, ExactIndicator):
-        return weighted_objective(program, program.p, x)
-    if isinstance(spec, CompositePenalty):
-        return weighted_objective(program, spec.p_nu, x)
-    q = np.maximum(spec.p_nu + np.atleast_1d(np.asarray(u, float)), 0.0)
-    if isinstance(spec, SupportPerturbation) and v is not None:
-        return _support_sum(program, q, spec.xi_nu, v, x)
-    return weighted_objective(program, q, x)
+    """Reweighted expectation at the final point, without penalty or tilt;
+    at the support shifts v where the support variant reports them."""
+    if v is None:
+        return weighted_objective(program, spec.weights(program, u), x)
+    return spec.expectation(program, PerturbationPoint(u, v), x)[0]
 
 
 def _v_axis(spec: RockafellianSpec, v_box: Optional[Tuple[float, float]],
@@ -553,8 +527,7 @@ def solve_joint(program: StochasticProgram, spec: RockafellianSpec,
         x, _ = x_step(lambda z: reduced(z)[0], method,
                       gradient=_danskin_gradient(spec, program, reduced))
         u, v = reduced(x)[1], None
-    value = eval_exact(program, u, x) if isinstance(spec, ExactIndicator) \
-        else eval_approx(spec, program, PerturbationPoint(u, v), x)
+    value = spec.value(program, PerturbationPoint(u, v), x)
     unbounded = value < -1e15
     return SolveReport(u_final=u, x_final=x, value=value,
                        plain_objective=-INF if unbounded
@@ -633,18 +606,16 @@ class _CostTable:
         return total
 
 
-def _weightings(spec: RockafellianSpec, U: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per perturbation row u: the weights max(p + u, 0) the relaxation puts
-    on the costs, its penalty and its -<y, u> term, formed as eval_approx
-    forms them; a row whose p + u leaves the simplex gets penalty +inf."""
-    y = spec.tilt()
-    W = np.maximum(spec.p_nu + U, 0.0)
+def _weightings(spec: RockafellianSpec, program: StochasticProgram,
+                U: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per perturbation row u: the weights the relaxation puts on the costs,
+    its penalty (+inf off the perturbation set) and its -<y, u> term, formed
+    as eval_approx forms them."""
+    W = np.broadcast_to(spec.weights(program, U), (len(U), program.s))
     pen = np.empty(len(U))
     tilt = np.empty(len(U))
     for k, u in enumerate(U):
-        pen[k] = weight_penalty(spec, u, W[k]) if _in_simplex(spec.p_nu + u) else INF
-        tilt[k] = -float(y @ u)
+        pen[k], tilt[k] = spec.perturbation_cost(u)
     return W, pen, tilt
 
 
@@ -659,7 +630,7 @@ def _simplex_grid_values(program: StochasticProgram, spec: RockafellianSpec,
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Per decision, the minimum of eval_approx over the rows of U and the
     first row attaining it."""
-    W, pen, tilt = _weightings(spec, U)
+    W, pen, tilt = _weightings(spec, program, U)
     table = _CostTable(xs, program.f0, program.scenarios)
     x_values = np.empty(len(xs))
     best_k = np.empty(len(xs), dtype=int)
@@ -717,7 +688,7 @@ def _support_grid_values(program: StochasticProgram, spec: SupportPerturbation,
     over the rows; the generator is called once per (decision, scenario,
     shift), never where f0 is +inf.
     """
-    W, pen, tilt = _weightings(spec, U)
+    W, pen, tilt = _weightings(spec, program, U)
     levels = [np.unique(W[:, i], return_inverse=True) for i in range(program.s)]
     shift_pen = 0.5 * spec.lambda_nu * v_axis * v_axis
     x_values = np.full(len(xs), INF)
@@ -790,25 +761,22 @@ def _support_reduced_values(program: StochasticProgram, spec: SupportPerturbatio
     return vals, U, V
 
 
-def _composite_grid_values(program: StochasticProgram, spec: CompositePenalty,
-                           xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per decision, the closed-form minimum over u of the composite
-    relaxation and its minimizer (``composite_u_step`` at every row); the
-    constraint maps are evaluated only where the weighted objective is
-    finite."""
+def _anchored_grid_values(program: StochasticProgram, spec: RockafellianSpec,
+                          xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per decision, the minimum over u of the anchored or composite
+    relaxation and its minimizer: both keep their anchor's weights, so the
+    value is the table at those weights, and where it is finite the
+    variant's closed-form step on the constraint block (``slack_rows``),
+    whose maps are evaluated only there."""
+    anchor = spec.weights(program, None)
+    vals = _CostTable(xs, program.f0, program.scenarios).weighted(anchor[None, :])[:, 0]
+    U = np.zeros((len(xs), spec.perturbation_size(program)))
     block = program.composite
-    y = spec.tilt_m(block.m)
-    base = _CostTable(xs, program.f0, program.scenarios).weighted(
-        spec.p_nu[None, :])[:, 0]
-    finite = base != INF
-    ev = block.expectation_table(spec.p_nu, xs[finite])
-    U = np.zeros((len(xs), block.m))
-    U[finite] = np.minimum(y / spec.theta_nu, block.b - ev)
-    x_values = np.full(len(xs), INF)
-    uf = U[finite]
-    x_values[finite] = base[finite] + 0.5 * spec.theta_nu * np.einsum(
-        "ij,ij->i", uf, uf) - uf @ y
-    return x_values, U
+    if block is not None:
+        finite = vals != INF
+        U[finite], vals[finite] = spec.slack_rows(
+            vals[finite], block.expectation_table(anchor, xs[finite]), block.b)
+    return vals, U
 
 
 def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
@@ -818,22 +786,14 @@ def _reduced_grid_values(program: StochasticProgram, spec: RockafellianSpec,
     in xs, with a minimizing u per decision and, for the support variant
     (shifts on v_axis), a minimizing v; the v rows are None otherwise.
 
-    The anchored variant is the table at program.p with the composite
-    constraint applied; the simplex variants evaluate the costs only where
-    f0 is finite and take the u-steps of a block of rows at once.
+    The anchored and composite variants tabulate at their anchor's weights;
+    the simplex variants evaluate the costs only where f0 is finite and take
+    the u-steps of a block of rows at once.
     """
-    if isinstance(spec, SupportPerturbation):
+    if v_axis is not None:
         return _support_reduced_values(program, spec, xs, v_axis)
-    if isinstance(spec, CompositePenalty):
-        return (*_composite_grid_values(program, spec, xs), None)
-    block = program.composite
-    if isinstance(spec, ExactIndicator):
-        vals = _CostTable(xs, program.f0, program.scenarios).weighted(
-            program.p[None, :])[:, 0]
-        if block is not None:
-            vals[np.any(block.expectation_table(program.p, xs) > block.b + 1e-12,
-                        axis=1)] = INF
-        return vals, np.zeros((len(xs), program.s if block is None else block.m)), None
+    if not isinstance(spec, SimplexPenalty):
+        return (*_anchored_grid_values(program, spec, xs), None)
     f0 = _tabulate(program.f0, xs)
     keep = np.flatnonzero(f0 != INF)
     vals = np.full(len(xs), INF)
@@ -866,7 +826,7 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
     """
     s = program.s
     U = None
-    if not isinstance(spec, (ExactIndicator, CompositePenalty)):
+    if isinstance(spec, SimplexPenalty):
         if s > 4:
             raise ValueError("simplex grids limited to s <= 4")
         U = np.array(simplex_grid(s, u_resolution)) - spec.p_nu
@@ -879,10 +839,10 @@ def brute_force_oracle(program: StochasticProgram, spec: RockafellianSpec,
         raise ValueError(f"{n_evals} oracle evaluations exceed the cap")
 
     v_rows = None
-    if isinstance(spec, (ExactIndicator, CompositePenalty)):
+    if U is None:
         # one perturbation per decision: the solver's own tabulation
         x_values, u_rows, _ = _reduced_grid_values(program, spec, xs)
-    elif isinstance(spec, SupportPerturbation):
+    elif v_axis is not None:
         x_values, u_rows, v_rows = _support_grid_values(program, spec, xs, U, v_axis)
     else:
         x_values, u_rows = _simplex_grid_values(program, spec, xs, U)
@@ -908,45 +868,25 @@ def make_min_value_oracle(program: StochasticProgram, spec: RockafellianSpec,
     whole grid, including decisions the query finds infeasible.
     """
     xs = _grid_array(x_box, x_resolution)
-    block = program.composite
-    if isinstance(spec, SupportPerturbation):
-        if program.generator is None:
-            raise ValueError("support perturbation requires a generator map")
-        costs = [lambda x, pt=pt: support_cost(program, pt, x) for pt in spec.xi_nu]
-    else:
-        costs = program.scenarios
+    if isinstance(spec, SimplexPenalty):  # u moves the weights
+        costs, block = spec.cost_functions(program), None
+    else:  # the weights stay at the anchor, and u moves the constraint's bound
+        costs, block = program.scenarios, program.composite
     table = _CostTable(xs, program.f0, costs)
-    anchor = program.p if isinstance(spec, ExactIndicator) else spec.p_nu
+    size = spec.perturbation_size(program)
+    anchor = spec.weights(program, np.zeros(size))
     expectation = functools.cache(lambda: block.expectation_table(anchor, xs))
 
-    def values(u: np.ndarray) -> np.ndarray:
-        if isinstance(spec, ExactIndicator):
-            if u.size != (program.s if block is None else block.m):
-                raise ValueError("perturbation dimension mismatch")
-            if np.any(u != 0.0):
-                return np.array([INF])
-            vals = table.weighted(anchor[None, :])[:, 0]
-            if block is not None:
-                vals[np.any(expectation() > block.b + 1e-12, axis=1)] = INF
-            return vals
-        if isinstance(spec, CompositePenalty):
-            if block is None:
-                raise ValueError("program has no composite block")
-            if u.size != block.m:
-                raise ValueError("composite perturbation dimension mismatch")
-            vals = table.weighted(anchor[None, :])[:, 0] \
-                + 0.5 * spec.theta_nu * float(u @ u) - float(spec.tilt_m(block.m) @ u)
-            vals[np.any(u + expectation() > block.b + 1e-12, axis=1)] = INF
-            return vals
-        if u.size != program.s:
-            raise ValueError("perturbation dimension mismatch")
-        W, pen, tilt = _weightings(spec, u[None, :])
-        if pen[0] == INF:
-            return pen
-        return (table.weighted(W) + pen + tilt)[:, 0]
-
     def oracle(u: np.ndarray) -> float:
-        return float(np.min(_nan_to_inf(values(np.atleast_1d(
-            np.asarray(u, dtype=float))))))
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.size != size:
+            raise ValueError("perturbation dimension mismatch")
+        W, pen, tilt = _weightings(spec, program, u[None, :])
+        if pen[0] == INF:
+            return INF
+        vals = (table.weighted(W) + pen + tilt)[:, 0]
+        if block is not None:
+            vals[_violates(block.b, u + expectation())] = INF
+        return float(np.min(_nan_to_inf(vals)))
 
     return oracle

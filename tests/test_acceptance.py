@@ -144,9 +144,9 @@ def random_convex_instance(rng):
     w = rng.uniform(0.2, 0.5, size=s)
     p = w / w.sum()
     f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     scen = [ScenarioFunction(evaluate=lambda x, c=c: float(c @ x),
-                             gradient=lambda x, c=c: c.copy(), smooth=True)
+                             gradient=lambda x, c=c: c.copy())
             for c in C]
     prog = StochasticProgram(f0=f0, scenarios=scen, p=p, n=n)
     return prog, C, p
@@ -268,10 +268,10 @@ def test_criterion_7_divergence_families_and_reweighting():
 
 def residual_sweep_program():
     f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     cs = [np.array([0.7]), np.array([-0.3]), np.array([0.1])]
     scen = [ScenarioFunction(evaluate=lambda x, c=c: float(c @ x),
-                             gradient=lambda x, c=c: c.copy(), smooth=True)
+                             gradient=lambda x, c=c: c.copy())
             for c in cs]
     return StochasticProgram(f0=f0, scenarios=scen,
                              p=np.array([0.5, 0.3, 0.2]), n=1)

@@ -17,11 +17,11 @@ from rockrelax.solver import (GridMethod, SolveConfig, brute_force_oracle,
 
 def nonnegative_program():
     f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     scen = [ScenarioFunction(evaluate=lambda x: 1.0 + float(x @ x),
-                             gradient=lambda x: 2.0 * x, smooth=True),
+                             gradient=lambda x: 2.0 * x),
             ScenarioFunction(evaluate=lambda x: 0.5,
-                             gradient=lambda x: np.zeros(x.size), smooth=True)]
+                             gradient=lambda x: np.zeros(x.size))]
     return StochasticProgram(f0=f0, scenarios=scen, p=np.array([0.5, 0.5]), n=1)
 
 
@@ -169,10 +169,10 @@ def test_empirical_rate_reproducible():
 
 def residual_program():
     f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     cs = [np.array([0.7]), np.array([-0.3]), np.array([0.1])]
     scen = [ScenarioFunction(evaluate=lambda x, c=c: float(c @ x),
-                             gradient=lambda x, c=c: c.copy(), smooth=True)
+                             gradient=lambda x, c=c: c.copy())
             for c in cs]
     return StochasticProgram(f0=f0, scenarios=scen,
                              p=np.array([0.5, 0.3, 0.2]), n=1)
@@ -204,8 +204,7 @@ def test_residual_outside_domain_infinite():
                           gradient=lambda x: np.zeros(1))
     prog = StochasticProgram(
         f0=f0, scenarios=[ScenarioFunction(evaluate=lambda x: float(x[0]),
-                                           gradient=lambda x: np.ones(1),
-                                           smooth=True)],
+                                           gradient=lambda x: np.ones(1))],
         p=np.array([1.0]), n=1)
     spec = QuadraticPenalty(p_nu=prog.p, theta_nu=1.0)
     rep = optimality_residual(prog, spec, np.zeros(1), np.array([5.0]))

@@ -153,24 +153,6 @@ def test_bad_config_instance_exits_one(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    plan = write_plan(tmp_path, {"instance": "ex21", "name": "par",
-                                 "nus": [10, 100], "resolution": 1e-2})
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "threads"
-    assert main(["run", "--plan", plan, "--out", str(out1),
-                 "--format", "csv"]) == 0
-    monkeypatch.setenv("ROCKRELAX_THREADS", "2")
-    assert main(["run", "--plan", plan, "--out", str(out2),
-                 "--format", "csv"]) == 0
-
-    def strip_wall(path):
-        rows = read_csv(path)
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-
-    assert strip_wall(out1 / "par.csv") == strip_wall(out2 / "par.csv")
-
-
 def test_explicit_weights_missing_a_scale_fail_before_any_solve(tmp_path, capsys):
     config = {"name": "tiny", "n": 1, "s": 1,
               "scenarios": [{"tag": "linear", "params": {"c": [1.0]}}],

@@ -108,7 +108,7 @@ def test_no_gradient_declared():
 
 def test_check_gradient_quadratic():
     fn = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     worst = check_gradient(fn, np.array([0.3, -0.7]))
     assert worst < 1e-5
 
@@ -126,6 +126,13 @@ def test_check_simplex_accepts_and_rejects():
         check_simplex(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         check_simplex(np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_simplex_rejects_non_finite_entries(bad):
+    # every comparison with nan is false, so the sign and sum checks pass it
+    with pytest.raises(ValueError, match="non-finite"):
+        check_simplex(np.array([bad, 1.0]))
 
 
 def test_composite_block_skips_zero_weights():

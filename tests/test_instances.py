@@ -4,12 +4,10 @@ import pytest
 
 from rockrelax.extreal import INF, check_gradient
 from rockrelax.instances import (BUILTIN_NAMES, ConfigError, HEAVISIDE_ATOL,
-                                 build_example, build_from_config,
-                                 check_method_compatibility, heaviside,
+                                 build_example, build_from_config, heaviside,
                                  instantiate, make_scenario, perturbed_weights)
 from rockrelax.rockafellian import (CompositePenalty, QuadraticPenalty,
                                     SupportPerturbation)
-from rockrelax.solver import GridMethod, ProjectedGradientMethod
 
 
 def test_heaviside_threshold():
@@ -157,15 +155,6 @@ def test_config_rejects_extra_properties():
     cfg["surprise"] = True
     with pytest.raises(ConfigError):
         build_from_config(cfg)
-
-
-def test_gradient_free_tags_reject_gradient_method():
-    pgd = ProjectedGradientMethod(box=((0.0, 1.0),))
-    with pytest.raises(ConfigError, match="grid"):
-        check_method_compatibility(("heaviside-composite",), pgd)
-    check_method_compatibility(("heaviside-composite",),
-                               GridMethod(box=((0.0, 1.0),), resolution=0.1))
-    check_method_compatibility(("linear",), pgd)
 
 
 def test_perturbed_weights_kinds():

@@ -26,7 +26,7 @@ def scalar_candidates(program, spec, u_grid, x, v_axis):
         yield eval_exact(program, u, x), u, None
     elif isinstance(spec, CompositePenalty):
         block = program.composite
-        u = np.minimum(spec.tilt_m(block.m) / spec.theta_nu,
+        u = np.minimum(spec.tilt(block.m) / spec.theta_nu,
                        block.b - block.expectation(spec.p_nu, x))
         yield eval_approx(spec, program, u, x), u, None
     elif isinstance(spec, SupportPerturbation):

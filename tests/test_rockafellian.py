@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from rockrelax.divergence import FAMILIES
 from rockrelax.extreal import INF, ScenarioFunction, StochasticProgram
 from rockrelax.instances import build_example
-from rockrelax.rockafellian import (CertificateReport, ExactIndicator,
-                                    L1Penalty, PerturbationPoint,
+from rockrelax.rockafellian import (CertificateReport, CompositePenalty,
+                                    ExactIndicator, L1Penalty,
+                                    PerturbationPoint, PhiDivergencePenalty,
                                     QuadraticPenalty, SupportPerturbation,
                                     check_exactness_certificate,
                                     default_u_samples, eval_approx, eval_exact)
@@ -131,6 +133,51 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         L1Penalty(p_nu=np.array([0.5, 0.5]), theta=-0.1)
 
+
+
+#: each spec class from its strength, the other fields valid
+SPEC_WITH_STRENGTH = {
+    "quadratic": lambda p, theta: QuadraticPenalty(p_nu=p, theta_nu=theta),
+    "l1": lambda p, theta: L1Penalty(p_nu=p, theta=theta),
+    "kl": lambda p, theta: PhiDivergencePenalty(p_nu=p, theta_nu=theta,
+                                                family=FAMILIES["kl"]),
+    "support": lambda p, theta: SupportPerturbation(
+        p_nu=p, xi_nu=np.zeros((2, 1)), theta_nu=theta, lambda_nu=1.0),
+    "composite": lambda p, theta: CompositePenalty(p_nu=p, theta_nu=theta),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_WITH_STRENGTH))
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_specs_reject_non_finite_theta(kind, theta):
+    with pytest.raises(ValueError, match="theta_nu"):
+        SPEC_WITH_STRENGTH[kind](np.array([0.5, 0.5]), theta)
+
+
+def test_spec_names_non_finite_base_weights():
+    with pytest.raises(ValueError, match="p_nu"):
+        QuadraticPenalty(p_nu=np.array([np.nan, 1.0]), theta_nu=1.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_support_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda_nu"):
+        SupportPerturbation(p_nu=np.array([0.5, 0.5]), xi_nu=np.zeros((2, 1)),
+                            theta_nu=1.0, lambda_nu=lam)
+
+
+def test_spec_rejects_non_finite_tilt():
+    with pytest.raises(ValueError, match="y_nu"):
+        QuadraticPenalty(p_nu=np.array([0.5, 0.5]), theta_nu=1.0,
+                         y_nu=np.array([0.0, np.nan]))
+
+
+def test_l1_strength_alias():
+    p = np.array([0.5, 0.5])
+    assert L1Penalty(p_nu=p, theta=0.3).theta_nu == 0.3
+    assert L1Penalty(p_nu=p, theta_nu=0.3).theta_nu == 0.3
+    with pytest.raises(TypeError):
+        L1Penalty(p_nu=p, theta=0.3, theta_nu=0.3)
 
 def test_default_u_samples_feasible():
     p = np.array([0.2, 0.3, 0.5])

@@ -24,10 +24,16 @@ from rockrelax.solver import (MAX_GRID_EVALS, GridMethod, InfeasibleAtResolution
 
 def quad_program(box_n=1):
     f0 = ScenarioFunction(evaluate=lambda x: float(x @ x),
-                          gradient=lambda x: 2.0 * x, smooth=True)
+                          gradient=lambda x: 2.0 * x)
     scen = [ScenarioFunction(evaluate=lambda x: float(x.sum()),
-                             gradient=lambda x: np.ones(x.size), smooth=True)]
+                             gradient=lambda x: np.ones(x.size))]
     return StochasticProgram(f0=f0, scenarios=scen, p=np.array([1.0]), n=box_n)
+
+
+@pytest.mark.parametrize("resolution", [np.nan, np.inf])
+def test_grid_method_rejects_non_finite_resolution(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        GridMethod(box=((0.0, 1.0),), resolution=resolution)
 
 
 def test_grid_axis_and_points():
@@ -183,31 +189,44 @@ def test_composite_u_step_closed_form():
     assert val <= best + 1e-9
 
 
+def grid_minimum(program, box, resolution):
+    """The decision grid's step: the anchored solve on the grid, whose
+    objective is the program's own at its weights p."""
+    report = solve_joint(program, ExactIndicator(), SolveConfig(
+        x_method=GridMethod(box=box, resolution=resolution)))
+    return report.x_final, report.value
+
+
+def constant_program(value, n):
+    """f0 = value and one zero-cost scenario, in n decisions."""
+    return StochasticProgram(f0=ScenarioFunction(evaluate=lambda x: value),
+                             scenarios=[ScenarioFunction(evaluate=lambda x: 0.0)],
+                             p=np.array([1.0]), n=n)
+
+
 def test_x_step_grid_shifted_weights():
+    # the relaxation at u = p - p_nu weighs the costs by the actual p
     bundle = build_example("ex21", 100)
-    u = bundle.actual.p - bundle.spec.p_nu
-    obj = lambda x: eval_approx(bundle.spec, bundle.perturbed, u, x)
-    x, _ = x_step(obj, GridMethod(box=((0.0, 1.0),), resolution=1e-3))
+    x, _ = grid_minimum(bundle.actual, ((0.0, 1.0),), 1e-3)
     assert x[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_x_step_grid_zero_perturbation():
+    # the relaxation at u = 0 weighs the costs by p_nu
     bundle = build_example("ex21", 100)
-    obj = lambda x: eval_approx(bundle.spec, bundle.perturbed, np.zeros(2), x)
-    x, _ = x_step(obj, GridMethod(box=((0.0, 1.0),), resolution=1e-3))
+    x, _ = grid_minimum(bundle.perturbed, ((0.0, 1.0),), 1e-3)
     assert x[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_x_step_tie_breaks_lexicographic():
-    x, v = x_step(lambda z: 1.0, GridMethod(box=((0.0, 1.0), (0.0, 1.0)),
-                                            resolution=0.5))
+    x, v = grid_minimum(constant_program(1.0, 2), ((0.0, 1.0), (0.0, 1.0)), 0.5)
     assert x == pytest.approx(np.array([0.0, 0.0]))
     assert v == 1.0
 
 
 def test_x_step_infeasible_at_resolution():
     with pytest.raises(InfeasibleAtResolution):
-        x_step(lambda z: INF, GridMethod(box=((0.0, 1.0),), resolution=0.5))
+        grid_minimum(constant_program(INF, 1), ((0.0, 1.0),), 0.5)
 
 
 def test_projected_gradient_on_quadratic():
